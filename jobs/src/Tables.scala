@@ -4,78 +4,43 @@ import org.apache.spark.sql.SparkSession
 
 import repro.eval.{Experiments, Harness}
 
-/** spark-submit entrypoints, one per reproduced table (DESIGN.md §4).
+/** spark-submit entrypoint for the reproduced tables (DESIGN.md §4): takes a
+  * table id `T1`–`T6` and prints that table to stdout.
   *
-  * Each job builds the same corpora/sweeps as the corresponding bench suite
-  * (both call [[repro.eval.Experiments]]) and prints the table to stdout.
+  * Each table is built from the same corpora/sweeps as the corresponding bench
+  * suite (both call [[repro.eval.Experiments]]).
   *
-  *   spark-submit --class repro.jobs.Table1QueryTime3480 repro-jobs.jar
+  *   spark-submit --class repro.jobs.Tables repro-jobs.jar T1
   */
-object SparkEnv {
-  def session(app: String): SparkSession =
-    SparkSession.builder
+object Tables {
+  import Experiments._
+
+  private val tables: Map[String, SparkSession => String] = Map(
+    "T1" -> (s => Harness.formatTable("T1: Query time vs FP rate, 3480 files (paper Fig. 5)",
+      sweep(s, Corpus3480, W3480))),
+    "T2" -> (s => Harness.formatTable("T2: Query time vs FP rate, 2500 files (paper Fig. 6)",
+      sweep(s, Corpus2500, W2500))),
+    "T3" -> (s => Harness.formatTable("T3: Memory vs FP rate, 3480 files (paper Fig. 7)",
+      sweep(s, Corpus3480, W3480))),
+    "T4" -> (s => Harness.formatTable("T4: Memory vs FP rate, 2500 files (paper Fig. 8)",
+      sweep(s, Corpus2500, W2500))),
+    "T5" -> (s => formatScaling(scalingTable(s))),
+    "T6" -> (s => formatConstruction(constructionTable(s))))
+
+  def main(args: Array[String]): Unit = {
+    val id = args.headOption.map(_.toUpperCase).getOrElse("")
+    val table = tables.getOrElse(id, {
+      System.err.println(s"usage: repro.jobs.Tables <${tables.keys.toSeq.sorted.mkString("|")}>")
+      sys.exit(2)
+    })
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
+      .appName(s"rambo-${id.toLowerCase}")
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-}
-
-/** T1 — query time vs FP rate, 3480 files (paper Fig. 5). */
-object Table1QueryTime3480 {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session("rambo-t1")
-    try println(Harness.formatTable("T1: Query time vs FP rate, 3480 files (paper Fig. 5)",
-      Experiments.sweep(spark, Experiments.Corpus3480, Experiments.W3480)))
-    finally spark.stop()
-  }
-}
-
-/** T2 — query time vs FP rate, 2500 files (paper Fig. 6). */
-object Table2QueryTime2500 {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session("rambo-t2")
-    try println(Harness.formatTable("T2: Query time vs FP rate, 2500 files (paper Fig. 6)",
-      Experiments.sweep(spark, Experiments.Corpus2500, Experiments.W2500)))
-    finally spark.stop()
-  }
-}
-
-/** T3 — index memory vs FP rate, 3480 files (paper Fig. 7). */
-object Table3Memory3480 {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session("rambo-t3")
-    try println(Harness.formatTable("T3: Memory vs FP rate, 3480 files (paper Fig. 7)",
-      Experiments.sweep(spark, Experiments.Corpus3480, Experiments.W3480)))
-    finally spark.stop()
-  }
-}
-
-/** T4 — index memory vs FP rate, 2500 files (paper Fig. 8). */
-object Table4Memory2500 {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session("rambo-t4")
-    try println(Harness.formatTable("T4: Memory vs FP rate, 2500 files (paper Fig. 8)",
-      Experiments.sweep(spark, Experiments.Corpus2500, Experiments.W2500)))
-    finally spark.stop()
-  }
-}
-
-/** T5 — query-time scaling with N at matched FP (paper §V scaling claim). */
-object Table5Scaling {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session("rambo-t5")
-    try println(Experiments.formatScaling(Experiments.scalingTable(spark)))
-    finally spark.stop()
-  }
-}
-
-/** T6 — RAMBO distributed-build scaling with partitions (SIGMOD 100-node claim). */
-object Table6Construction {
-  def main(args: Array[String]): Unit = {
-    val spark = SparkEnv.session("rambo-t6")
-    try println(Experiments.formatConstruction(Experiments.constructionTable(spark)))
+    try println(table(spark))
     finally spark.stop()
   }
 }

@@ -4,56 +4,22 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
 import repro.bloom.BloomFilter
-import repro.util.{BitVector, Hashing}
+import repro.util.BitVector
 
 /** BIGSI baseline (Bradley et al., Nature Biotech 2019) — one Bloom filter
-  * column per dataset, all sharing the same η hash functions.
-  *
-  * Two query paths over the same logical bits:
-  *  - [[BigsiIndex.queryProbe]]: probe each of the N column filters at the
-  *    query's η positions — O(N·η) memory accesses. This is the cost model
-  *    the paper measures (its implementation probes BIGSI's Bloom filter
-  *    class per column), and the path the benches time.
-  *  - [[BigsiIndex.queryBitsliced]]: AND the η selected bitslice rows of the
-  *    m×N matrix — BIGSI's publicised bit-trick; still O(N) work per query
-  *    (each row is N bits wide). Kept for cross-validation and reference
-  *    timings.
+  * column per dataset, all sharing the same η hash functions. A hit column is
+  * a hit file, so [[resolve]] is the identity.
   *
   * @param numFiles N datasets (columns)
   * @param m        bits per column filter
   * @param eta      hash functions per filter
   * @param columns  column filters, indexed by file id
   */
-final class BigsiIndex(
-    val numFiles: Int,
-    val m: Int,
-    val eta: Int,
-    val columns: Array[BloomFilter]) extends Serializable {
+final class BigsiIndex(numFiles: Int, m: Int, eta: Int, columns: Array[BloomFilter])
+    extends MembershipIndex(numFiles, m, eta, columns) {
   require(columns.length == numFiles, s"${columns.length} columns for $numFiles files")
 
-  /** Bitslice matrix (built once from the columns; same logical bits). */
-  @transient lazy val matrix: BitMatrix =
-    BitMatrix.fromColumns(m, columns.map(_.bits))
-
-  /** Hash a query k-mer once (shared hash functions across all columns). */
-  def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
-
-  /** Probe-path query: N-bit vector of files whose filters pass. */
-  def queryProbe(kmer: String): BitVector = queryProbePositions(positions(kmer))
-
-  /** Probe-path query on pre-hashed positions. */
-  def queryProbePositions(pos: Array[Int]): BitVector = {
-    val hits = BitVector.empty(numFiles)
-    var f = 0
-    while (f < numFiles) {
-      if (columns(f).containsPositions(pos)) hits.set(f)
-      f += 1
-    }
-    hits
-  }
-
-  /** Bitsliced query: AND of the η selected rows. */
-  def queryBitsliced(kmer: String): BitVector = matrix.rowAnd(positions(kmer))
+  def resolve(hits: BitVector): BitVector = hits
 
   /** Index size: the m×N bit matrix (the number the paper's memory plots report). */
   def indexBytes: Long = m.toLong * numFiles / 8

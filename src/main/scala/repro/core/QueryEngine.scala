@@ -12,19 +12,15 @@ import org.apache.spark.sql.functions._
   */
 object QueryEngine {
 
-  /** Query a RAMBO index with a (qid, kmer) DataFrame → (qid, file_id). */
-  def queryRambo(spark: SparkSession, queries: DataFrame, index: RamboIndex): DataFrame = {
+  /** Query an index with a (qid, kmer) DataFrame → (qid, file_id). */
+  def query(spark: SparkSession, queries: DataFrame, index: MembershipIndex): DataFrame = {
     val bc = spark.sparkContext.broadcast(index)
     val lookup = udf((kmer: String) => bc.value.queryProbe(kmer).setBits)
     queries
       .select(col("qid"), explode(lookup(col("kmer"))) as "file_id")
   }
 
-  /** Query a BIGSI index with a (qid, kmer) DataFrame → (qid, file_id). */
-  def queryBigsi(spark: SparkSession, queries: DataFrame, index: BigsiIndex): DataFrame = {
-    val bc = spark.sparkContext.broadcast(index)
-    val lookup = udf((kmer: String) => bc.value.queryProbe(kmer).setBits)
-    queries
-      .select(col("qid"), explode(lookup(col("kmer"))) as "file_id")
-  }
+  /** [[query]] on a RAMBO index. */
+  def queryRambo(spark: SparkSession, queries: DataFrame, index: RamboIndex): DataFrame =
+    query(spark, queries, index)
 }

@@ -31,12 +31,12 @@ import repro.util.{BitVector, Hashing}
   * @param columns  cell filters, indexed by `rep·w + group`
   */
 final class RamboIndex(
-    val numFiles: Int,
+    numFiles: Int,
     val w: Int,
     val d: Int,
-    val m: Int,
-    val eta: Int,
-    val columns: Array[BloomFilter]) extends Serializable {
+    m: Int,
+    eta: Int,
+    columns: Array[BloomFilter]) extends MembershipIndex(numFiles, m, eta, columns) {
   require(w > 0 && d > 0, s"bad geometry w=$w d=$d")
   require(columns.length == w * d, s"${columns.length} columns for ${w * d} cells")
 
@@ -45,20 +45,10 @@ final class RamboIndex(
     */
   val memberships: Array[BitVector] = RamboIndex.memberships(numFiles, w, d)
 
-  /** Bitslice matrix over the d·w cell columns (same logical bits). */
-  @transient lazy val matrix: BitMatrix =
-    BitMatrix.fromColumns(m, columns.map(_.bits))
-
-  /** Hash a query k-mer once (shared hash functions across all cells). */
-  def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
-
-  /** Probe-path query: O(d·w·η) probes, then union-per-repetition and
-    * intersection-across-repetitions over N-bit member sets.
+  /** Algorithm 2: union the member sets of the hit cells within each
+    * repetition, then intersect those unions across repetitions.
     */
-  def queryProbe(kmer: String): BitVector = queryProbePositions(positions(kmer))
-
-  /** Probe-path query on pre-hashed positions. */
-  def queryProbePositions(pos: Array[Int]): BitVector = {
+  def resolve(hits: BitVector): BitVector = {
     var result: BitVector = null
     var r = 0
     while (r < d) {
@@ -66,28 +56,7 @@ final class RamboIndex(
       var g = 0
       while (g < w) {
         val c = r * w + g
-        if (columns(c).containsPositions(pos)) repUnion.or(memberships(c))
-        g += 1
-      }
-      if (result == null) result = repUnion else result.and(repUnion)
-      r += 1
-    }
-    result
-  }
-
-  /** Bitsliced query: AND η rows of the m×(d·w) matrix, then resolve the hit
-    * cells through the same union/intersection.
-    */
-  def queryBitsliced(kmer: String): BitVector = {
-    val hitCells = matrix.rowAnd(positions(kmer))
-    var result: BitVector = null
-    var r = 0
-    while (r < d) {
-      val repUnion = BitVector.empty(numFiles)
-      var g = 0
-      while (g < w) {
-        val c = r * w + g
-        if (hitCells.get(c)) repUnion.or(memberships(c))
+        if (hits.get(c)) repUnion.or(memberships(c))
         g += 1
       }
       if (result == null) result = repUnion else result.and(repUnion)
@@ -129,16 +98,21 @@ object Rambo {
     out
   }
 
+  /** Fan a (file_id: Int, kmer: String) DataFrame out to (col: Int, kmer):
+    * one row per cell of the file's d cells.
+    */
+  def cellKmers(corpus: DataFrame, w: Int, d: Int): DataFrame = {
+    val cellsUdf = udf((fileId: Int) => cellsForFile(fileId, w, d))
+    corpus.select(explode(cellsUdf(col("file_id"))) as "col", col("kmer"))
+  }
+
   /** Distributed build from a (file_id: Int, kmer: String) DataFrame: each row
     * fans out to its d cells and the shared [[SketchBuilder]] aggregation
     * folds cells' k-mers into their merged filters.
     */
   def buildSpark(corpus: DataFrame, numFiles: Int, w: Int, d: Int,
                  m: Int, eta: Int): RamboIndex = {
-    val cellsUdf = udf((fileId: Int) => cellsForFile(fileId, w, d))
-    val colKmer = corpus
-      .select(explode(cellsUdf(col("file_id"))) as "col", col("kmer"))
-    val cols = SketchBuilder.buildColumns(colKmer, w * d, m, eta)
+    val cols = SketchBuilder.buildColumns(cellKmers(corpus, w, d), w * d, m, eta)
     fromColumns(numFiles, w, d, m, eta, cols)
   }
 

@@ -1,9 +1,8 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
-import repro.core.{Bigsi, BigsiIndex, Rambo, RamboIndex}
+import repro.core.{Bigsi, MembershipIndex, Rambo}
 import repro.genome.SynthGenomes
 import repro.genome.SynthGenomes.CorpusSpec
 
@@ -54,42 +53,30 @@ object Harness {
     * the `n` of RAMBO's sizing. Smaller than (files-per-cell × k-mers-per-file)
     * exactly when the corpus has cross-file redundancy.
     */
-  def avgKmersPerCell(data: ExperimentData, w: Int, d: Int): Double = {
-    val cellsUdf = udf((fileId: Int) => Rambo.cellsForFile(fileId, w, d))
-    data.corpusDf
-      .select(explode(cellsUdf(col("file_id"))) as "cell", col("kmer"))
-      .distinct()
-      .count()
-      .toDouble / (w * d)
-  }
+  def avgKmersPerCell(data: ExperimentData, w: Int, d: Int): Double =
+    Rambo.cellKmers(data.corpusDf, w, d).distinct().count().toDouble / (w * d)
 
   /** Build + evaluate one BIGSI sweep point. */
-  def runBigsi(data: ExperimentData, m: Int, eta: Int): SweepPoint = {
-    val (index, buildSec) = Timer.timed(
-      Bigsi.buildSpark(data.corpusDf, data.numFiles, m, eta))
-    evalPoint("BIGSI", data, eta, m, index.indexBytes, buildSec,
-      index.queryProbe, index.queryBitsliced)
-  }
+  def runBigsi(data: ExperimentData, m: Int, eta: Int): SweepPoint =
+    evaluate("BIGSI", data)(Bigsi.buildSpark(data.corpusDf, data.numFiles, m, eta))
 
   /** Build + evaluate one RAMBO sweep point. */
-  def runRambo(data: ExperimentData, w: Int, d: Int, m: Int, eta: Int): SweepPoint = {
-    val (index, buildSec) = Timer.timed(
+  def runRambo(data: ExperimentData, w: Int, d: Int, m: Int, eta: Int): SweepPoint =
+    evaluate(s"RAMBO(W=$w,D=$d)", data)(
       Rambo.buildSpark(data.corpusDf, data.numFiles, w, d, m, eta))
-    evalPoint(s"RAMBO(W=$w,D=$d)", data, eta, m, index.indexBytes, buildSec,
-      index.queryProbe, index.queryBitsliced)
-  }
 
-  private def evalPoint(method: String, data: ExperimentData, eta: Int, m: Int,
-                        indexBytes: Long, buildSec: Double,
-                        probe: String => repro.util.BitVector,
-                        bitsliced: String => repro.util.BitVector): SweepPoint = {
-    val ev = FprEval.evaluate(probe, data.queries, data.numFiles)
+  /** Time `build`, then score the built index: FP rate (failing on any false
+    * negative), µs/query on both query paths, and index size.
+    */
+  private def evaluate(method: String, data: ExperimentData)(build: => MembershipIndex): SweepPoint = {
+    val (index, buildSec) = Timer.timed(build)
+    val ev = FprEval.evaluate(index.queryProbe, data.queries, data.numFiles)
     require(ev.falseNegatives == 0,
       s"$method produced ${ev.falseNegatives} false negatives — Bloom filters cannot miss")
-    val usProbe = Timer.microsPerQuery(probe, data.kmers)
-    val usBits  = Timer.microsPerQuery(bitsliced, data.kmers)
-    SweepPoint(method, eta, m, ev.fpPercent, usProbe, usBits,
-      indexBytes / 1024.0 / 1024.0, buildSec)
+    val usProbe = Timer.microsPerQuery(index.queryProbe, data.kmers)
+    val usBits  = Timer.microsPerQuery(index.queryBitsliced, data.kmers)
+    SweepPoint(method, index.eta, index.m, ev.fpPercent, usProbe, usBits,
+      index.indexBytes / 1024.0 / 1024.0, buildSec)
   }
 
   /** Render sweep points as the fixed-width table EXPERIMENTS.md records. */

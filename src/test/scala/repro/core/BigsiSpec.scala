@@ -103,5 +103,11 @@ class BigsiSpec extends SparkSpec {
   test("column count mismatch is rejected") {
     intercept[IllegalArgumentException](
       new BigsiIndex(5, 64, 2, Array.fill(4)(new repro.bloom.BloomFilter(64, 2))))
+    // Column geometry must match the index's: m=128 columns under m=64 would
+    // be probed at positions < 64 only, missing keys stored above.
+    intercept[IllegalArgumentException](
+      new BigsiIndex(1, 64, 3, Array(new repro.bloom.BloomFilter(128, 3))))
+    intercept[IllegalArgumentException](
+      new BigsiIndex(1, 64, 3, Array(new repro.bloom.BloomFilter(64, 2))))
   }
 }

@@ -30,7 +30,7 @@ class QueryEngineSpec extends SparkSpec {
     // results must be the exact relational join — which DuckDB verifies
     // independently.
     val index = Rambo.buildSpark(corpusDf, spec.nFiles, w = 40, d = 6, m = 65536, eta = 4)
-    val got = QueryEngine.queryRambo(spark, queriesDf, index)
+    val got = QueryEngine.query(spark, queriesDf, index)
     Oracle.assertEquivalent(
       got,
       "SELECT DISTINCT q.qid AS qid, c.file_id AS file_id " +
@@ -40,7 +40,7 @@ class QueryEngineSpec extends SparkSpec {
 
   test("oracle: FP-free BIGSI batch results equal the exact containment SQL") {
     val index = Bigsi.buildSpark(corpusDf, spec.nFiles, m = 1 << 20, eta = 4)
-    val got = QueryEngine.queryBigsi(spark, queriesDf, index)
+    val got = QueryEngine.query(spark, queriesDf, index)
     Oracle.assertEquivalent(
       got,
       "SELECT DISTINCT q.qid AS qid, c.file_id AS file_id " +
@@ -50,7 +50,7 @@ class QueryEngineSpec extends SparkSpec {
 
   test("batch RAMBO results match driver-side queries row for row") {
     val index = Rambo.buildSpark(corpusDf, spec.nFiles, w = 8, d = 3, m = 32768, eta = 3)
-    val got = QueryEngine.queryRambo(spark, queriesDf, index)
+    val got = QueryEngine.query(spark, queriesDf, index)
       .as[(Long, Int)].collect().toSet
     val want = queriesDf.as[(Long, String)].collect().flatMap { case (qid, kmer) =>
       index.queryProbe(kmer).setBits.map(f => (qid, f))
@@ -60,7 +60,7 @@ class QueryEngineSpec extends SparkSpec {
 
   test("batch BIGSI results match driver-side queries row for row") {
     val index = Bigsi.buildSpark(corpusDf, spec.nFiles, m = 8192, eta = 3)
-    val got = QueryEngine.queryBigsi(spark, queriesDf, index)
+    val got = QueryEngine.query(spark, queriesDf, index)
       .as[(Long, Int)].collect().toSet
     val want = queriesDf.as[(Long, String)].collect().flatMap { case (qid, kmer) =>
       index.queryProbe(kmer).setBits.map(f => (qid, f))
@@ -70,7 +70,7 @@ class QueryEngineSpec extends SparkSpec {
 
   test("batch results are supersets of truth even with small filters") {
     val index = Rambo.buildSpark(corpusDf, spec.nFiles, w = 8, d = 3, m = 16384, eta = 3)
-    val got = QueryEngine.queryRambo(spark, queriesDf, index)
+    val got = QueryEngine.query(spark, queriesDf, index)
       .as[(Long, Int)].collect().toSet
     val truth = GroundTruth.truthDf(spark, queriesDf, corpusDf)
       .as[(Long, Int)].collect().toSet
@@ -81,6 +81,6 @@ class QueryEngineSpec extends SparkSpec {
     val negDf = SynthGenomes.negativeKmers(spec, 20)
       .zipWithIndex.map { case (k, i) => (i.toLong, k) }.toDF("qid", "kmer")
     val index = Rambo.buildSpark(corpusDf, spec.nFiles, w = 16, d = 4, m = 65536, eta = 4)
-    assert(QueryEngine.queryRambo(spark, negDf, index).count() == 0)
+    assert(QueryEngine.query(spark, negDf, index).count() == 0)
   }
 }

@@ -183,6 +183,10 @@ class RamboSpec extends SparkSpec {
       new RamboIndex(10, 0, 3, 64, 2, Array.empty))
     intercept[IllegalArgumentException](
       new RamboIndex(10, 2, 3, 64, 2, Array.fill(5)(new repro.bloom.BloomFilter(64, 2))))
+    intercept[IllegalArgumentException](
+      new RamboIndex(10, 2, 3, 64, 2, Array.fill(6)(new repro.bloom.BloomFilter(128, 2))))
+    intercept[IllegalArgumentException](
+      new RamboIndex(10, 2, 3, 64, 2, Array.fill(6)(new repro.bloom.BloomFilter(64, 3))))
   }
 
   test("W*D can exceed N and still work (degenerate geometry)") {
