@@ -2,18 +2,17 @@ package repro.bloom
 
 import repro.util.{BitVector, Hashing}
 
-/** Bloom filter over string keys — the primitive both BIGSI and RAMBO are
-  * built from.
+/** Bloom filter over string keys: an m-bit array with η hash functions
+  * (paper: η ∈ {3, 4}).
   *
-  * Mirrors the paper's setup: an m-bit array with η hash functions, and — the
-  * property both methods rely on — *every* filter in an index shares the same
-  * hash functions ([[repro.util.Hashing.bloomPositions]]), so a query key is
-  * hashed once and its η positions probe any column. The fairness argument in
-  * the paper ("inherit the Bloom Filter class from BIGSI") is reproduced here
-  * by BIGSI and RAMBO sharing this exact class.
+  * An index does not store these: its one copy of the bits is the
+  * [[repro.core.BitMatrix]], whose columns are Bloom filters probed at the
+  * positions of [[repro.util.Hashing.bloomPositions]]. This class hashes with
+  * the same function, so it is the reference a single column is checked
+  * against, and `MembershipIndex.columns` copies a column out as one.
   *
   * @param m    number of bits
-  * @param eta  number of hash functions (paper: η ∈ {3, 4})
+  * @param eta  number of hash functions
   * @param bits backing bit vector of `m` bits
   */
 final class BloomFilter(val m: Int, val eta: Int, val bits: BitVector) extends Serializable {
@@ -30,45 +29,21 @@ final class BloomFilter(val m: Int, val eta: Int, val bits: BitVector) extends S
     while (i < pos.length) { bits.set(pos(i)); i += 1 }
   }
 
-  /** Set pre-computed positions (used when positions are hashed once and
-    * shared across the columns of an index).
-    */
-  def insertPositions(pos: Array[Int]): Unit = {
-    var i = 0
-    while (i < pos.length) { bits.set(pos(i)); i += 1 }
-  }
-
   /** Membership test: true iff every position of `key` is set.
     * Zero false negatives; false positives at rate [[BloomParams.falsePositiveRate]].
     */
-  def contains(key: String): Boolean = containsPositions(Hashing.bloomPositions(key, m, eta))
-
-  /** Membership test on pre-computed positions. */
-  def containsPositions(pos: Array[Int]): Boolean = {
+  def contains(key: String): Boolean = {
+    val pos = Hashing.bloomPositions(key, m, eta)
     var i = 0
     while (i < pos.length) { if (!bits.get(pos(i))) return false; i += 1 }
     true
   }
 
-  /** In-place union with a filter of identical geometry — the "merge" of
-    * RAMBO's merged filters and of map-side partial aggregation.
-    */
-  def merge(other: BloomFilter): Unit = {
-    require(other.m == m && other.eta == eta,
-      s"geometry mismatch: ($m,$eta) vs (${other.m},${other.eta})")
-    bits.or(other.bits)
-  }
-
   /** Fraction of set bits. */
   def fillRatio: Double = bits.fillRatio
 
-  /** FP estimate from the observed fill ratio: P(all η probes hit set bits). */
-  def estimatedFpFromFill: Double = math.pow(fillRatio, eta)
-
   /** Size of the bit array in bytes. */
   def sizeBytes: Long = bits.words.length.toLong * 8
-
-  def copy(): BloomFilter = new BloomFilter(m, eta, bits.copy())
 }
 
 object BloomFilter {
@@ -78,8 +53,4 @@ object BloomFilter {
     keys.foreach(bf.insert)
     bf
   }
-
-  /** Wrap existing words as a filter (no copy). */
-  def wrap(m: Int, eta: Int, words: Array[Long]): BloomFilter =
-    new BloomFilter(m, eta, BitVector.wrap(m, words))
 }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 
-import repro.bloom.BloomFilter
 import repro.util.BitVector
 
 /** BIGSI baseline (Bradley et al., Nature Biotech 2019) — one Bloom filter
@@ -11,13 +10,12 @@ import repro.util.BitVector
   * a hit file, so [[resolve]] is the identity.
   *
   * @param numFiles N datasets (columns)
-  * @param m        bits per column filter
   * @param eta      hash functions per filter
-  * @param columns  column filters, indexed by file id
+  * @param matrix   m×N bitslice matrix, column = file id
   */
-final class BigsiIndex(numFiles: Int, m: Int, eta: Int, columns: Array[BloomFilter])
-    extends MembershipIndex(numFiles, m, eta, columns) {
-  require(columns.length == numFiles, s"${columns.length} columns for $numFiles files")
+final class BigsiIndex(numFiles: Int, eta: Int, matrix: BitMatrix)
+    extends MembershipIndex(numFiles, eta, matrix) {
+  require(matrix.numCols == numFiles, s"${matrix.numCols} columns for $numFiles files")
 
   def resolve(hits: BitVector): BitVector = hits
 
@@ -29,16 +27,11 @@ final class BigsiIndex(numFiles: Int, m: Int, eta: Int, columns: Array[BloomFilt
 object Bigsi {
 
   /** Distributed build from a (file_id: Int, kmer: String) DataFrame. */
-  def buildSpark(corpus: DataFrame, numFiles: Int, m: Int, eta: Int): BigsiIndex = {
-    val cols = SketchBuilder.buildColumns(
-      corpus.select(col("file_id") as "col", col("kmer")), numFiles, m, eta)
-    fromColumns(numFiles, m, eta, cols)
-  }
+  def buildSpark(corpus: DataFrame, numFiles: Int, m: Int, eta: Int): BigsiIndex =
+    new BigsiIndex(numFiles, eta, SketchBuilder.buildColumns(
+      corpus.select(col("file_id") as "col", col("kmer")), numFiles, m, eta))
 
   /** Single-threaded reference build. */
   def buildLocal(corpus: Iterable[(Int, String)], numFiles: Int, m: Int, eta: Int): BigsiIndex =
-    fromColumns(numFiles, m, eta, SketchBuilder.buildColumnsLocal(corpus, numFiles, m, eta))
-
-  private def fromColumns(numFiles: Int, m: Int, eta: Int, cols: Array[BitVector]): BigsiIndex =
-    new BigsiIndex(numFiles, m, eta, cols.map(bv => new BloomFilter(m, eta, bv)))
+    new BigsiIndex(numFiles, eta, SketchBuilder.buildColumnsLocal(corpus, numFiles, m, eta))
 }

@@ -4,11 +4,12 @@ import repro.util.BitVector
 
 /** Row-major bit matrix: `numRows` bitslices of `numCols` bits each.
   *
-  * This is BIGSI's storage layout ("bitsliced signature index"): column `c` is
-  * dataset c's Bloom filter, and querying ANDs the η rows selected by the
-  * query's hash values into a `numCols`-bit hit vector. RAMBO reuses the same
-  * layout with one column per (repetition, group) cell, so both methods share
-  * the identical bitslice machinery (the paper's fairness requirement).
+  * This is the one storage layout of every index, BIGSI's "bitsliced
+  * signature index": column `c` is one Bloom filter (a dataset for BIGSI, a
+  * (repetition, group) cell for RAMBO) and row `r` is bit `r` of every
+  * filter. Both query paths read these same bits: [[get]] probes one column
+  * at a position, [[rowAnd]] ANDs the η rows selected by the query's hash
+  * values into a `numCols`-bit hit vector.
   *
   * @param numRows matrix height = Bloom filter size m
   * @param numCols matrix width = number of columns (files or cells)
@@ -38,6 +39,21 @@ final class BitMatrix(val numRows: Int, val numCols: Int) extends Serializable {
     if (r < 0 || r >= numRows) throw new IndexOutOfBoundsException(s"row $r of $numRows")
   @inline private def checkCol(c: Int): Unit =
     if (c < 0 || c >= numCols) throw new IndexOutOfBoundsException(s"col $c of $numCols")
+
+  /** Copy of column `col` as a `numRows`-bit vector (that column's filter). */
+  def column(col: Int): BitVector = {
+    checkCol(col)
+    val out = BitVector.empty(numRows)
+    val mask = 1L << (col & 63)
+    var i = col >>> 6
+    var r = 0
+    while (r < numRows) {
+      if ((rows(i) & mask) != 0L) out.words(r >>> 6) |= 1L << (r & 63)
+      i += wordsPerRow
+      r += 1
+    }
+    out
+  }
 
   /** AND the given bitslices (rows) into a `numCols`-bit vector — the bitslice
     * query: rows are the η hash values of the query k-mer and the result's set

@@ -3,54 +3,54 @@ package repro.core
 import repro.bloom.BloomFilter
 import repro.util.{BitVector, Hashing}
 
-/** A multiple-set membership index over `numFiles` datasets: a matrix of
-  * Bloom filter columns that all share `m`, `eta` and the hash functions
-  * ([[repro.util.Hashing.bloomPositions]]), so a query k-mer is hashed once
-  * and its η positions probe every column.
+/** A multiple-set membership index over `numFiles` datasets: one m×columns
+  * [[BitMatrix]] whose columns are Bloom filters that all share `m`, `eta`
+  * and the hash functions ([[repro.util.Hashing.bloomPositions]]), so a query
+  * k-mer is hashed once and its η positions probe every column.
   *
   * BIGSI and RAMBO are both this matrix and differ only in what a column
   * stands for, i.e. in [[resolve]]: BIGSI has one column per file, so the hit
   * columns are the answer; RAMBO has one column per (repetition, group) cell
   * and resolves hit cells to files with the paper's Algorithm 2.
   *
-  * Two query paths over the same logical bits, sharing one `resolve`:
-  *  - [[queryProbe]]: probe each column filter at the query's η positions —
-  *    O(columns·η) memory accesses. This is the cost model the paper measures
-  *    (its implementation probes BIGSI's Bloom filter class per column), and
-  *    the path the benches time.
-  *  - [[queryBitsliced]]: AND the η selected bitslice rows of the
-  *    m×columns matrix — BIGSI's publicised bit-trick; still O(columns) work
-  *    per query (each row is one bit per column). Kept for cross-validation
-  *    and reference timings.
+  * The matrix is the only copy of the bits. Two query paths read it and share
+  * one `resolve`:
+  *  - [[queryProbe]]: probe each column at the query's η positions, stopping
+  *    at the first unset bit — O(columns·η) memory accesses. This is the cost
+  *    model the paper measures (its implementation probes BIGSI's Bloom filter
+  *    class per column), and the path the benches time.
+  *  - [[queryBitsliced]]: AND the η selected bitslice rows — BIGSI's
+  *    publicised bit-trick; still O(columns) work per query (each row is one
+  *    bit per column). Kept for cross-validation and reference timings.
   *
   * @param numFiles N datasets
-  * @param m        bits per column filter
-  * @param eta      hash functions per filter
-  * @param columns  column filters
+  * @param eta      hash functions per column filter
+  * @param matrix   the m×columns bitslice matrix; `m = matrix.numRows`
   */
 abstract class MembershipIndex(
     val numFiles: Int,
-    val m: Int,
     val eta: Int,
-    val columns: Array[BloomFilter]) extends Serializable {
-  columns.indices.foreach { i =>
-    require(columns(i).m == m && columns(i).eta == eta,
-      s"column $i has geometry (m=${columns(i).m}, eta=${columns(i).eta}), index has (m=$m, eta=$eta)")
-  }
+    val matrix: BitMatrix) extends Serializable {
+  require(eta > 0, s"eta must be > 0, got $eta")
 
-  /** Bitslice matrix (built once from the columns; same logical bits). */
-  @transient lazy val matrix: BitMatrix =
-    BitMatrix.fromColumns(m, columns.map(_.bits))
+  /** Bits per column filter. */
+  final val m: Int = matrix.numRows
+
+  /** Copies of the column filters, read out of the matrix (not storage). */
+  final def columns: Array[BloomFilter] =
+    Array.tabulate(matrix.numCols)(c => new BloomFilter(m, eta, matrix.column(c)))
 
   /** Hash a query k-mer once (shared hash functions across all columns). */
   final def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
 
   /** Columns whose filters pass the membership test at pre-hashed positions. */
   final def hitColumns(pos: Array[Int]): BitVector = {
-    val hits = BitVector.empty(columns.length)
+    val hits = BitVector.empty(matrix.numCols)
     var c = 0
-    while (c < columns.length) {
-      if (columns(c).containsPositions(pos)) hits.set(c)
+    while (c < matrix.numCols) {
+      var i = 0
+      while (i < pos.length && matrix.get(pos(i), c)) i += 1
+      if (i == pos.length) hits.set(c)
       c += 1
     }
     hits

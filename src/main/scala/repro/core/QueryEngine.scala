@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 /** Batch query path: a queries DataFrame looked up against a broadcast index
   * (DESIGN.md S12, the "query via DataFrame filter/lookup against sketches"
-  * band). The index (a few MB of bit arrays) is broadcast once; a UDF resolves
+  * band). The index (its bitslice matrix, a few MB) is broadcast once; a UDF resolves
   * each k-mer to its matching file ids, and `explode` yields the relational
   * (qid, file_id) result that downstream SQL — and the DuckDB oracle — can
   * consume.

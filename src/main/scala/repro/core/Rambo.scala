@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.bloom.BloomFilter
 import repro.util.{BitVector, Hashing}
 
 /** RAMBO — the paper's contribution: a count-min-sketch arrangement of merged
@@ -26,19 +25,17 @@ import repro.util.{BitVector, Hashing}
   * @param numFiles N datasets
   * @param w        groups per repetition (paper: 100 for N=3480, 84 for N=2500)
   * @param d        repetitions (paper: 3)
-  * @param m        bits per cell filter
   * @param eta      hash functions per filter
-  * @param columns  cell filters, indexed by `rep·w + group`
+  * @param matrix   m×(d·w) bitslice matrix, column = cell `rep·w + group`
   */
 final class RamboIndex(
     numFiles: Int,
     val w: Int,
     val d: Int,
-    m: Int,
     eta: Int,
-    columns: Array[BloomFilter]) extends MembershipIndex(numFiles, m, eta, columns) {
+    matrix: BitMatrix) extends MembershipIndex(numFiles, eta, matrix) {
   require(w > 0 && d > 0, s"bad geometry w=$w d=$d")
-  require(columns.length == w * d, s"${columns.length} columns for ${w * d} cells")
+  require(matrix.numCols == w * d, s"${matrix.numCols} columns for ${w * d} cells")
 
   /** Member set of each cell as an N-bit vector, derived from the partition
     * hashes (cell col `r·w+g` holds files with `ph_r(f) = g`).
@@ -111,10 +108,9 @@ object Rambo {
     * folds cells' k-mers into their merged filters.
     */
   def buildSpark(corpus: DataFrame, numFiles: Int, w: Int, d: Int,
-                 m: Int, eta: Int): RamboIndex = {
-    val cols = SketchBuilder.buildColumns(cellKmers(corpus, w, d), w * d, m, eta)
-    fromColumns(numFiles, w, d, m, eta, cols)
-  }
+                 m: Int, eta: Int): RamboIndex =
+    new RamboIndex(numFiles, w, d, eta,
+      SketchBuilder.buildColumns(cellKmers(corpus, w, d), w * d, m, eta))
 
   /** Single-threaded reference build. */
   def buildLocal(corpus: Iterable[(Int, String)], numFiles: Int, w: Int, d: Int,
@@ -122,11 +118,6 @@ object Rambo {
     val colKmer = corpus.flatMap { case (f, kmer) =>
       cellsForFile(f, w, d).map(c => (c, kmer))
     }
-    fromColumns(numFiles, w, d, m, eta,
-      SketchBuilder.buildColumnsLocal(colKmer, w * d, m, eta))
+    new RamboIndex(numFiles, w, d, eta, SketchBuilder.buildColumnsLocal(colKmer, w * d, m, eta))
   }
-
-  private def fromColumns(numFiles: Int, w: Int, d: Int, m: Int, eta: Int,
-                          cols: Array[BitVector]): RamboIndex =
-    new RamboIndex(numFiles, w, d, m, eta, cols.map(bv => new BloomFilter(m, eta, bv)))
 }

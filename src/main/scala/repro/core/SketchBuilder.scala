@@ -18,17 +18,19 @@ import repro.util.{BitVector, Hashing}
   *
   * Hashing happens on executors (the distributed map over partitioned input),
   * partial Bloom filters are OR-merged map-side, and only finished m-bit
-  * buffers reach the driver, which assembles the per-column [[BitVector]]s.
+  * buffers reach the driver, which transposes them into the index's
+  * [[BitMatrix]].
   */
 object SketchBuilder {
 
-  /** Build the per-column bit arrays of an index with `numCols` columns of
+  /** Build the m×`numCols` bitslice matrix of an index whose columns are
     * `m`-bit Bloom filters using `eta` hash functions.
     *
     * @param colKmer DataFrame with columns `col: Int` and `kmer: String`
-    * @return dense array indexed by column id; columns with no input are empty
+    * @return matrix whose column `c` is column id `c`'s filter; columns with
+    *         no input are empty
     */
-  def buildColumns(colKmer: DataFrame, numCols: Int, m: Int, eta: Int): Array[BitVector] = {
+  def buildColumns(colKmer: DataFrame, numCols: Int, m: Int, eta: Int): BitMatrix = {
     require(numCols > 0, s"numCols must be > 0, got $numCols")
     val posUdf = udf((kmer: String) => Hashing.bloomPositions(kmer, m, eta))
     val agg = udaf(new BitsetAggregator(m))
@@ -44,20 +46,20 @@ object SketchBuilder {
       require(c >= 0 && c < numCols, s"column id $c out of [0, $numCols)")
       out(c) = BitVector.fromBytes(m, r.getAs[Array[Byte]](1))
     }
-    out
+    BitMatrix.fromColumns(m, out)
   }
 
-  /** Single-threaded reference build of the same columns; tests assert the
-    * Spark build is bit-identical to this.
+  /** Single-threaded reference build of the same matrix, set bit by bit;
+    * tests assert the Spark build is bit-identical to this.
     */
   def buildColumnsLocal(colKmer: Iterable[(Int, String)], numCols: Int,
-                        m: Int, eta: Int): Array[BitVector] = {
-    val out = Array.fill(numCols)(BitVector.empty(m))
+                        m: Int, eta: Int): BitMatrix = {
+    val out = new BitMatrix(m, numCols)
     colKmer.foreach { case (c, kmer) =>
       require(c >= 0 && c < numCols, s"column id $c out of [0, $numCols)")
       val pos = Hashing.bloomPositions(kmer, m, eta)
       var i = 0
-      while (i < pos.length) { out(c).set(pos(i)); i += 1 }
+      while (i < pos.length) { out.set(pos(i), c); i += 1 }
     }
     out
   }

@@ -4,10 +4,10 @@ import java.util.Arrays
 
 /** Fixed-size mutable bit vector backed by an `Array[Long]`.
   *
-  * This is the storage primitive shared by every sketch in the repo: Bloom
-  * filter bit arrays ([[repro.bloom.BloomFilter]]), BIGSI/RAMBO bitslice rows
-  * ([[repro.core.BitMatrix]]), partition-membership sets and query result
-  * vectors. It is deliberately minimal — no growth, no boxing — because the
+  * This is the bit-set primitive shared across the repo: reference Bloom
+  * filter bit arrays ([[repro.bloom.BloomFilter]]), columns copied out of and
+  * row-ANDs read from an index's [[repro.core.BitMatrix]], partition-membership
+  * sets and query result vectors. It is deliberately minimal — no growth, no boxing — because the
   * benchmarked query paths are tight loops over these words.
   *
   * @param numBits logical size; bits are indexed `0 until numBits`

@@ -17,8 +17,8 @@ class BigsiSpec extends SparkSpec {
 
   test("index geometry") {
     assert(index.numFiles == 60)
-    assert(index.columns.length == 60)
-    index.columns.foreach(c => assert(c.m == 16384 && c.eta == 3))
+    assert(index.matrix.numCols == 60)
+    assert(index.m == 16384 && index.eta == 3)
   }
 
   test("zero false negatives: every (file, kmer) pair is found") {
@@ -70,7 +70,7 @@ class BigsiSpec extends SparkSpec {
     val df = corpus.toDF("file_id", "kmer")
     val viaSpark = Bigsi.buildSpark(df, spec.nFiles, 16384, 3)
     (0 until spec.nFiles).foreach { f =>
-      assert(viaSpark.columns(f).bits == index.columns(f).bits, s"file $f")
+      assert(viaSpark.matrix.column(f) == index.matrix.column(f), s"file $f")
     }
   }
 
@@ -101,13 +101,8 @@ class BigsiSpec extends SparkSpec {
   }
 
   test("column count mismatch is rejected") {
-    intercept[IllegalArgumentException](
-      new BigsiIndex(5, 64, 2, Array.fill(4)(new repro.bloom.BloomFilter(64, 2))))
-    // Column geometry must match the index's: m=128 columns under m=64 would
-    // be probed at positions < 64 only, missing keys stored above.
-    intercept[IllegalArgumentException](
-      new BigsiIndex(1, 64, 3, Array(new repro.bloom.BloomFilter(128, 3))))
-    intercept[IllegalArgumentException](
-      new BigsiIndex(1, 64, 3, Array(new repro.bloom.BloomFilter(64, 2))))
+    intercept[IllegalArgumentException](new BigsiIndex(5, 2, new BitMatrix(64, 4)))
+    // eta = 0 would probe no positions, so every column would "hit".
+    intercept[IllegalArgumentException](new BigsiIndex(4, 0, new BitMatrix(64, 4)))
   }
 }

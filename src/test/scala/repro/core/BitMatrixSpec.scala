@@ -62,6 +62,8 @@ class BitMatrixSpec extends AnyFunSuite {
     assert(m.get(0, 0) && !m.get(0, 1))
     assert(m.get(3, 0) && m.get(3, 1))
     assert(!m.get(4, 0) && m.get(4, 1))
+    cols.indices.foreach(c => assert(m.column(c) == cols(c)))
+    intercept[IndexOutOfBoundsException](m.column(2))
   }
 
   test("fromColumns validates column sizes") {

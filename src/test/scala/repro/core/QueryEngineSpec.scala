@@ -77,6 +77,26 @@ class QueryEngineSpec extends SparkSpec {
     assert(truth.subsetOf(got))
   }
 
+  test("an index survives Java serialization (the broadcast) with identical answers") {
+    def roundTrip[T <: MembershipIndex](index: T): T = {
+      val bytes = new java.io.ByteArrayOutputStream()
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(index); out.close()
+      new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+        .readObject().asInstanceOf[T]
+    }
+    val kmers = local.take(200).map(_._2) ++ SynthGenomes.negativeKmers(spec, 200)
+    Seq(Rambo.buildLocal(local, spec.nFiles, w = 8, d = 3, m = 16384, eta = 3),
+        Bigsi.buildLocal(local, spec.nFiles, m = 8192, eta = 3)).foreach { index =>
+      val copy = roundTrip(index)
+      assert(copy ne index)
+      kmers.foreach { k =>
+        assert(copy.queryProbe(k) == index.queryProbe(k), k)
+        assert(copy.queryBitsliced(k) == index.queryBitsliced(k), k)
+      }
+    }
+  }
+
   test("negative-only batch against oversized index returns nothing") {
     val negDf = SynthGenomes.negativeKmers(spec, 20)
       .zipWithIndex.map { case (k, i) => (i.toLong, k) }.toDF("qid", "kmer")

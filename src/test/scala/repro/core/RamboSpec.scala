@@ -17,9 +17,9 @@ class RamboSpec extends SparkSpec {
   private lazy val index = Rambo.buildLocal(corpus, spec.nFiles, W, D, m = 65536, eta = 3)
 
   test("index geometry: D*W columns, not N") {
-    assert(index.columns.length == W * D)
-    assert(index.columns.length < spec.nFiles)
-    index.columns.foreach(c => assert(c.m == 65536 && c.eta == 3))
+    assert(index.matrix.numCols == W * D)
+    assert(index.matrix.numCols < spec.nFiles)
+    assert(index.m == 65536 && index.eta == 3)
   }
 
   test("cellsForFile: one cell per repetition, in that repetition's range") {
@@ -86,7 +86,7 @@ class RamboSpec extends SparkSpec {
     val expected = (0 until D).map { r =>
       val u = BitVector.empty(spec.nFiles)
       (0 until W).foreach { g =>
-        if (index.columns(r * W + g).containsPositions(pos))
+        if (pos.forall(index.matrix.get(_, r * W + g)))
           u.or(index.memberships(r * W + g))
       }
       u
@@ -126,7 +126,7 @@ class RamboSpec extends SparkSpec {
     var cellHits = 0L
     negs.foreach { k =>
       val pos = small.positions(k)
-      cellHits += small.columns.count(_.containsPositions(pos))
+      cellHits += small.hitColumns(pos).cardinality
     }
     val cellFp = cellHits.toDouble / (negs.size.toLong * W * D)
     var fileHits = 0L
@@ -139,7 +139,7 @@ class RamboSpec extends SparkSpec {
     val df = corpus.toDF("file_id", "kmer")
     val viaSpark = Rambo.buildSpark(df, spec.nFiles, W, D, 65536, 3)
     (0 until W * D).foreach { c =>
-      assert(viaSpark.columns(c).bits == index.columns(c).bits, s"cell $c")
+      assert(viaSpark.matrix.column(c) == index.matrix.column(c), s"cell $c")
     }
   }
 
@@ -168,7 +168,7 @@ class RamboSpec extends SparkSpec {
     val touched = Rambo.cellsForFile(newFile, W, D).toSet
     (0 until W * D).foreach { c =>
       if (!touched.contains(c))
-        assert(idxWithout.columns(c).bits == index.columns(c).bits, s"cell $c changed")
+        assert(idxWithout.matrix.column(c) == index.matrix.column(c), s"cell $c changed")
     }
   }
 
@@ -179,14 +179,9 @@ class RamboSpec extends SparkSpec {
   }
 
   test("bad geometry rejected") {
-    intercept[IllegalArgumentException](
-      new RamboIndex(10, 0, 3, 64, 2, Array.empty))
-    intercept[IllegalArgumentException](
-      new RamboIndex(10, 2, 3, 64, 2, Array.fill(5)(new repro.bloom.BloomFilter(64, 2))))
-    intercept[IllegalArgumentException](
-      new RamboIndex(10, 2, 3, 64, 2, Array.fill(6)(new repro.bloom.BloomFilter(128, 2))))
-    intercept[IllegalArgumentException](
-      new RamboIndex(10, 2, 3, 64, 2, Array.fill(6)(new repro.bloom.BloomFilter(64, 3))))
+    intercept[IllegalArgumentException](new RamboIndex(10, 0, 3, 2, new BitMatrix(64, 1)))
+    intercept[IllegalArgumentException](new RamboIndex(10, 2, 3, 2, new BitMatrix(64, 5)))
+    intercept[IllegalArgumentException](new RamboIndex(10, 2, 3, 0, new BitMatrix(64, 6)))
   }
 
   test("W*D can exceed N and still work (degenerate geometry)") {

@@ -16,7 +16,7 @@ class SketchBuilderSpec extends SparkSpec {
     val df = data.toDF("col", "kmer")
     val viaSpark = SketchBuilder.buildColumns(df, 7, 4096, 3)
     val viaLocal = SketchBuilder.buildColumnsLocal(data, 7, 4096, 3)
-    (0 until 7).foreach(c => assert(viaSpark(c) == viaLocal(c), s"column $c differs"))
+    (0 until 7).foreach(c => assert(viaSpark.column(c) == viaLocal.column(c), s"column $c differs"))
   }
 
   test("build is invariant to input partitioning") {
@@ -24,7 +24,7 @@ class SketchBuilderSpec extends SparkSpec {
     val df = data.toDF("col", "kmer")
     val p1 = SketchBuilder.buildColumns(df.repartition(1), 5, 2048, 4)
     val p8 = SketchBuilder.buildColumns(df.repartition(8), 5, 2048, 4)
-    (0 until 5).foreach(c => assert(p1(c) == p8(c)))
+    (0 until 5).foreach(c => assert(p1.column(c) == p8.column(c)))
   }
 
   test("build is invariant to duplicate input rows") {
@@ -32,20 +32,20 @@ class SketchBuilderSpec extends SparkSpec {
     val dup = data ++ data ++ data.take(50)
     val a = SketchBuilder.buildColumnsLocal(data, 3, 1024, 3)
     val b = SketchBuilder.buildColumnsLocal(dup, 3, 1024, 3)
-    (0 until 3).foreach(c => assert(a(c) == b(c)))
+    (0 until 3).foreach(c => assert(a.column(c) == b.column(c)))
   }
 
   test("columns with no input stay empty") {
     val df = Seq((0, "ACGTACGTACGTACGTACGTACGTACGTACG")).toDF("col", "kmer")
     val cols = SketchBuilder.buildColumns(df, 4, 512, 3)
-    assert(cols(0).cardinality > 0)
-    (1 until 4).foreach(c => assert(cols(c).cardinality == 0))
+    assert(cols.column(0).cardinality > 0)
+    (1 until 4).foreach(c => assert(cols.column(c).cardinality == 0))
   }
 
   test("each key sets at most eta bits in its column") {
     val df = Seq((0, "AAAAAAAAAA")).toDF("col", "kmer")
     val cols = SketchBuilder.buildColumns(df, 1, 65536, 4)
-    assert(cols(0).cardinality >= 1 && cols(0).cardinality <= 4)
+    assert(cols.column(0).cardinality >= 1 && cols.column(0).cardinality <= 4)
   }
 
   test("out-of-range column ids are rejected") {
@@ -59,7 +59,7 @@ class SketchBuilderSpec extends SparkSpec {
     import repro.bloom.BloomFilter
     val keys = (0 until 400).map(i => Dna.randomKmer(31, 900L + i))
     val cols = SketchBuilder.buildColumnsLocal(keys.map((0, _)), 1, 8192, 3)
-    assert(cols(0) == BloomFilter.of(8192, 3, keys).bits)
+    assert(cols.column(0) == BloomFilter.of(8192, 3, keys).bits)
   }
 
   test("numCols must be positive") {
