@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 
 import repro.util.BitVector
 
@@ -23,15 +22,18 @@ final class BigsiIndex(numFiles: Int, eta: Int, matrix: BitMatrix)
   def indexBytes: Long = m.toLong * numFiles / 8
 }
 
-/** Builders for [[BigsiIndex]]. */
+/** Builders for [[BigsiIndex]]: [[SketchBuilder]] with the identity file → column table. */
 object Bigsi {
+
+  private def fileColumns(numFiles: Int): Array[Array[Int]] = Array.tabulate(numFiles)(Array(_))
 
   /** Distributed build from a (file_id: Int, kmer: String) DataFrame. */
   def buildSpark(corpus: DataFrame, numFiles: Int, m: Int, eta: Int): BigsiIndex =
-    new BigsiIndex(numFiles, eta, SketchBuilder.buildColumns(
-      corpus.select(col("file_id") as "col", col("kmer")), numFiles, m, eta))
+    new BigsiIndex(numFiles, eta,
+      SketchBuilder.buildSpark(corpus, fileColumns(numFiles), numFiles, m, eta))
 
   /** Single-threaded reference build. */
   def buildLocal(corpus: Iterable[(Int, String)], numFiles: Int, m: Int, eta: Int): BigsiIndex =
-    new BigsiIndex(numFiles, eta, SketchBuilder.buildColumnsLocal(corpus, numFiles, m, eta))
+    new BigsiIndex(numFiles, eta,
+      SketchBuilder.buildLocal(corpus, fileColumns(numFiles), numFiles, m, eta))
 }

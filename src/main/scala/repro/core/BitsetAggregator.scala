@@ -7,17 +7,15 @@ import repro.util.BitVector
 
 /** Typed Spark aggregator that ORs Bloom bit positions into an m-bit set.
   *
-  * This is the distributed construction kernel (DESIGN.md S9): the corpus is
-  * exploded to (column, position) rows, grouped by column, and this aggregator
-  * folds each group into the column's Bloom bit array. Catalyst runs it with
-  * map-side partial aggregation, so each input partition builds partial
-  * filters locally and the shuffle only moves m-bit buffers — the
-  * "embarrassingly parallel" build the paper describes (partial Bloom filters
-  * merge by bitwise OR, so construction parallelises perfectly).
+  * This is the distributed construction kernel (DESIGN.md S9): each (file,
+  * kmer) pair becomes its (column, position) entries, grouped by column, and
+  * this aggregator folds each group into the column's Bloom bit array.
+  * Catalyst aggregates map-side first, so each partition builds partial
+  * filters and the shuffle only moves m-bit buffers — the paper's
+  * "embarrassingly parallel" build (partial filters merge by bitwise OR).
   *
   * Buffers and output use the little-endian byte layout of
-  * [[repro.util.BitVector.toBytes]] (Encoders.BINARY keeps the aggregation
-  * state a plain byte array — no bespoke encoders on the wire).
+  * [[repro.util.BitVector.toBytes]] (Encoders.BINARY: a plain byte array).
   *
   * @param mBits Bloom filter size in bits (uniform across the index's columns)
   */

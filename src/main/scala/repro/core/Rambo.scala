@@ -37,10 +37,9 @@ final class RamboIndex(
   require(w > 0 && d > 0, s"bad geometry w=$w d=$d")
   require(matrix.numCols == w * d, s"${matrix.numCols} columns for ${w * d} cells")
 
-  /** Member set of each cell as an N-bit vector, derived from the partition
-    * hashes (cell col `r·w+g` holds files with `ph_r(f) = g`).
-    */
-  val memberships: Array[BitVector] = RamboIndex.memberships(numFiles, w, d)
+  /** Member set of each cell as an N-bit vector: the inverse of [[Rambo.fileCells]]. */
+  val memberships: Array[BitVector] = Array.fill(w * d)(BitVector.empty(numFiles))
+  Rambo.fileCells(numFiles, w, d).zipWithIndex.foreach { case (cs, f) => cs.foreach(memberships(_).set(f)) }
 
   /** Algorithm 2: union the member sets of the hit cells within each
     * repetition, then intersect those unions across repetitions.
@@ -67,57 +66,36 @@ final class RamboIndex(
     m.toLong * (w * d) / 8 + memberships.length.toLong * BitVector.wordsFor(numFiles) * 8
 }
 
-object RamboIndex {
-  /** Cell → file-membership bitsets implied by the partition hashes. */
-  def memberships(numFiles: Int, w: Int, d: Int): Array[BitVector] = {
-    val out = Array.fill(w * d)(BitVector.empty(numFiles))
-    var f = 0
-    while (f < numFiles) {
-      var r = 0
-      while (r < d) {
-        out(r * w + Hashing.partitionHash(f.toLong, r, w)).set(f)
-        r += 1
-      }
-      f += 1
-    }
-    out
-  }
-}
-
 /** Builders for [[RamboIndex]]. */
 object Rambo {
 
   /** The d cell columns a file's k-mers are inserted into. */
-  def cellsForFile(fileId: Int, w: Int, d: Int): Array[Int] = {
-    val out = new Array[Int](d)
-    var r = 0
-    while (r < d) { out(r) = r * w + Hashing.partitionHash(fileId.toLong, r, w); r += 1 }
-    out
-  }
+  def cellsForFile(fileId: Int, w: Int, d: Int): Array[Int] =
+    Array.tabulate(d)(r => r * w + Hashing.partitionHash(fileId.toLong, r, w))
+
+  /** The file → cell table both builds take; [[RamboIndex.memberships]] inverts it. */
+  def fileCells(numFiles: Int, w: Int, d: Int): Array[Array[Int]] =
+    Array.tabulate(numFiles)(cellsForFile(_, w, d))
 
   /** Fan a (file_id: Int, kmer: String) DataFrame out to (col: Int, kmer):
-    * one row per cell of the file's d cells.
+    * one row per cell of the file's d cells. Only `Harness.avgKmersPerCell` uses it.
     */
   def cellKmers(corpus: DataFrame, w: Int, d: Int): DataFrame = {
     val cellsUdf = udf((fileId: Int) => cellsForFile(fileId, w, d))
     corpus.select(explode(cellsUdf(col("file_id"))) as "col", col("kmer"))
   }
 
-  /** Distributed build from a (file_id: Int, kmer: String) DataFrame: each row
-    * fans out to its d cells and the shared [[SketchBuilder]] aggregation
-    * folds cells' k-mers into their merged filters.
+  /** Distributed build from a (file_id: Int, kmer: String) DataFrame: each
+    * pair is hashed once and set in its file's d cells.
     */
   def buildSpark(corpus: DataFrame, numFiles: Int, w: Int, d: Int,
                  m: Int, eta: Int): RamboIndex =
     new RamboIndex(numFiles, w, d, eta,
-      SketchBuilder.buildColumns(cellKmers(corpus, w, d), w * d, m, eta))
+      SketchBuilder.buildSpark(corpus, fileCells(numFiles, w, d), w * d, m, eta))
 
   /** Single-threaded reference build. */
   def buildLocal(corpus: Iterable[(Int, String)], numFiles: Int, w: Int, d: Int,
-                 m: Int, eta: Int): RamboIndex = {
-    val colKmer = corpus.flatMap { case (f, kmer) =>
-      cellsForFile(f, w, d).map(c => (c, kmer))
-    }
-    new RamboIndex(numFiles, w, d, eta, SketchBuilder.buildColumnsLocal(colKmer, w * d, m, eta))
-  }
+                 m: Int, eta: Int): RamboIndex =
+    new RamboIndex(numFiles, w, d, eta,
+      SketchBuilder.buildLocal(corpus, fileCells(numFiles, w, d), w * d, m, eta))
 }

@@ -29,20 +29,20 @@ object Harness {
   final case class ExperimentData(
       spec: CorpusSpec,
       corpusDf: DataFrame,
-      truth: GroundTruth,
       queries: IndexedSeq[Workload.Query]) {
     def kmers: IndexedSeq[String] = queries.map(_.kmer)
     def numFiles: Int = spec.nFiles
   }
 
-  /** Generate, cache and invert a corpus; derive its query workload. */
+  /** Generate and cache a corpus; derive its workload, inverting only its k-mers' rows. */
   def prepare(spark: SparkSession, spec: CorpusSpec,
               nPositive: Int, nNegative: Int): ExperimentData = {
+    import spark.implicits._
     val df = SynthGenomes.corpus(spark, spec).cache()
     df.count() // materialise so build timings exclude generation
-    val truth = GroundTruth.fromSpark(df, spec.nFiles)
-    val queries = Workload.queries(spec, truth, nPositive, nNegative)
-    ExperimentData(spec, df, truth, queries)
+    val wanted = Workload.candidates(spec, nPositive, nNegative).distinct.toDF("kmer")
+    val truth = GroundTruth.fromSpark(df.join(wanted, Seq("kmer"), "left_semi"), spec.nFiles)
+    ExperimentData(spec, df, Workload.queries(spec, truth, nPositive, nNegative))
   }
 
   /** Average number of distinct k-mers per file — the `n` of BIGSI's sizing. */

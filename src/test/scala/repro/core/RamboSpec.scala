@@ -185,8 +185,10 @@ class RamboSpec extends SparkSpec {
   }
 
   test("W*D can exceed N and still work (degenerate geometry)") {
-    val idx = Rambo.buildLocal(corpus.take(50), 10, 16, 2, 4096, 3)
-    corpus.take(50).filter(_._1 < 10).foreach { case (f, k) =>
+    val pairs = corpus.take(50).filter(_._1 < 10)
+    assert(pairs.nonEmpty)
+    val idx = Rambo.buildLocal(pairs, 10, 16, 2, 4096, 3)
+    pairs.foreach { case (f, k) =>
       assert(idx.queryProbe(k).get(f))
     }
   }

@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.genome.SynthGenomes.CorpusSpec
 
 class HarnessSpec extends SparkSpec {
+  import spark.implicits._
 
   private val spec = CorpusSpec(nFiles = 50, poolSize = 800, totalPairs = 10000L,
     alpha = 0.8, seed = 71L)
@@ -12,10 +13,10 @@ class HarnessSpec extends SparkSpec {
   test("prepare caches corpus, truth and workload consistently") {
     assert(data.numFiles == 50)
     assert(data.queries.size == 200)
-    assert(data.truth.byKmer.nonEmpty)
-    // truth and corpus agree on total pair count
-    val pairCount = data.truth.byKmer.values.map(_.cardinality.toLong).sum
-    assert(pairCount == data.corpusDf.count())
+    // each workload k-mer's truth is its exact file set in the cached corpus
+    val exact = GroundTruth.fromLocal(data.corpusDf.as[(Int, String)].collect(), spec.nFiles)
+    assert(data.queries.exists(_.truth.cardinality > 0))
+    data.queries.foreach(q => assert(q.truth == exact.filesOf(q.kmer), q.kmer))
   }
 
   test("avgKmersPerFile is pairs / files") {
