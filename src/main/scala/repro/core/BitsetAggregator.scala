@@ -14,8 +14,9 @@ import repro.util.BitVector
   * filters and the shuffle only moves m-bit buffers — the paper's
   * "embarrassingly parallel" build (partial filters merge by bitwise OR).
   *
-  * Buffers and output use the little-endian byte layout of
-  * [[repro.util.BitVector.toBytes]] (Encoders.BINARY: a plain byte array).
+  * This class alone knows the buffer's byte layout: bit `i` lives in byte
+  * `i/8`, bit `i%8` (Encoders.BINARY: a plain byte array). [[decode]] turns
+  * an output buffer back into a [[repro.util.BitVector]].
   *
   * @param mBits Bloom filter size in bits (uniform across the index's columns)
   */
@@ -23,7 +24,9 @@ final class BitsetAggregator(mBits: Int)
     extends Aggregator[Int, Array[Byte], Array[Byte]] {
   require(mBits > 0, s"mBits must be > 0, got $mBits")
 
-  override def zero: Array[Byte] = new Array[Byte](BitVector.bytesFor(mBits))
+  private val numBytes = (mBits + 7) >>> 3
+
+  override def zero: Array[Byte] = new Array[Byte](numBytes)
 
   override def reduce(buf: Array[Byte], pos: Int): Array[Byte] = {
     if (pos < 0 || pos >= mBits)
@@ -42,4 +45,17 @@ final class BitsetAggregator(mBits: Int)
 
   override def bufferEncoder: Encoder[Array[Byte]] = Encoders.BINARY
   override def outputEncoder: Encoder[Array[Byte]] = Encoders.BINARY
+
+  /** The m-bit vector an output buffer encodes. */
+  def decode(bytes: Array[Byte]): BitVector = {
+    require(bytes.length == numBytes,
+      s"expected $numBytes bytes for $mBits bits, got ${bytes.length}")
+    val words = new Array[Long](BitVector.wordsFor(mBits))
+    var i = 0
+    while (i < bytes.length) {
+      words(i >>> 3) |= (bytes(i) & 0xffL) << ((i & 7) << 3)
+      i += 1
+    }
+    BitVector.wrap(mBits, words)
+  }
 }

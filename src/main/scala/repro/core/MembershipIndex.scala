@@ -40,7 +40,9 @@ abstract class MembershipIndex(
   final def columns: Array[BloomFilter] =
     Array.tabulate(matrix.numCols)(c => new BloomFilter(m, eta, matrix.column(c)))
 
-  /** Hash a query k-mer once (shared hash functions across all columns). */
+  /** Hash a query k-mer once (shared hash functions across all columns). The
+    * k-mer is hashed as given: pass upper-case ACGT, as `Kmers.kmers` indexes.
+    */
   final def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
 
   /** Columns whose filters pass the membership test at pre-hashed positions. */

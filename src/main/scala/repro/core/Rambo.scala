@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.util.{BitVector, Hashing}
 
@@ -73,17 +72,11 @@ object Rambo {
   def cellsForFile(fileId: Int, w: Int, d: Int): Array[Int] =
     Array.tabulate(d)(r => r * w + Hashing.partitionHash(fileId.toLong, r, w))
 
-  /** The file → cell table both builds take; [[RamboIndex.memberships]] inverts it. */
+  /** The file → cell table: both builds take it, [[RamboIndex.memberships]]
+    * inverts it and `Harness.avgKmersPerCell` sizes cells through it.
+    */
   def fileCells(numFiles: Int, w: Int, d: Int): Array[Array[Int]] =
     Array.tabulate(numFiles)(cellsForFile(_, w, d))
-
-  /** Fan a (file_id: Int, kmer: String) DataFrame out to (col: Int, kmer):
-    * one row per cell of the file's d cells. Only `Harness.avgKmersPerCell` uses it.
-    */
-  def cellKmers(corpus: DataFrame, w: Int, d: Int): DataFrame = {
-    val cellsUdf = udf((fileId: Int) => cellsForFile(fileId, w, d))
-    corpus.select(explode(cellsUdf(col("file_id"))) as "col", col("kmer"))
-  }
 
   /** Distributed build from a (file_id: Int, kmer: String) DataFrame: each
     * pair is hashed once and set in its file's d cells.

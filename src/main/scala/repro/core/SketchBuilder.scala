@@ -18,8 +18,9 @@ import repro.util.{BitVector, Hashing}
   *
   * Hashing happens on executors (the distributed map over partitioned input),
   * partial Bloom filters are OR-merged map-side, and only finished m-bit
-  * buffers reach the driver, which transposes them into the index's
-  * [[BitMatrix]].
+  * buffers reach the driver. The aggregator that wrote them decodes them
+  * ([[BitsetAggregator.decode]]), and the driver transposes the columns into
+  * the index's [[BitMatrix]].
   */
 object SketchBuilder {
 
@@ -49,15 +50,16 @@ object SketchBuilder {
       val (cols, pos) = fanOut(fileColumns, fileId, kmer, m, eta)
       Array.tabulate(cols.length * eta)(k => cols(k / eta).toLong << 32 | pos(k % eta))
     }
-    val agg = udaf(new BitsetAggregator(m))
+    val agg = new BitsetAggregator(m)
+    val aggUdf = udaf(agg)
     val rows = corpus
       .select(explode(entriesUdf(col("file_id"), col("kmer"))) as "e")
       .groupBy(shiftright(col("e"), 32).cast("int") as "col")
-      .agg(agg(col("e").bitwiseAND(0xffffffffL).cast("int")) as "bits")
+      .agg(aggUdf(col("e").bitwiseAND(0xffffffffL).cast("int")) as "bits")
       .collect()
 
     val out = Array.fill(numCols)(BitVector.empty(m))
-    rows.foreach(r => out(r.getInt(0)) = BitVector.fromBytes(m, r.getAs[Array[Byte]](1)))
+    rows.foreach(r => out(r.getInt(0)) = agg.decode(r.getAs[Array[Byte]](1)))
     BitMatrix.fromColumns(m, out)
   }
 

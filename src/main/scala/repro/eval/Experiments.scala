@@ -8,11 +8,12 @@ import repro.genome.SynthGenomes.CorpusSpec
 
 /** Canonical definitions of the reproduced experiments T1–T6 (DESIGN.md §4).
   *
-  * Both the `bench/` suites and the `jobs/` spark-submit entrypoints call
-  * these, so a table is always regenerated from the same corpus, geometry and
-  * sweep regardless of how it is launched. Results are cached per JVM so a
-  * bench run evaluating the query-time view (T1/T2) and the memory view
-  * (T3/T4) of the same sweep builds each index once.
+  * Both the `bench/` suites and the `repro.jobs.Tables` main call these, in a
+  * session built by [[session]], so a table is always regenerated from the
+  * same corpus, geometry, sweep and Spark settings regardless of how it is
+  * launched. Results are cached per JVM so a bench run evaluating the
+  * query-time view (T1/T2) and the memory view (T3/T4) of the same sweep
+  * builds each index once.
   *
   * Scaling notes vs. the paper: N, W, D, η and k match the paper exactly
   * (3480/2500 files, W=100/84, D=3, η∈{3,4}, k=31). Per-file k-mer counts are
@@ -55,6 +56,19 @@ object Experiments {
   val NPositive = 600
   val NNegative = 2400
 
+  /** The Spark session the tables and the tests run in. Master and shuffle
+    * partitions come from `SPARK_MASTER` and `SPARK_SHUFFLE_PARTITIONS`
+    * (default `local[*]`, 64). Broadcast joins are off, so joins exercise the
+    * shuffle path.
+    */
+  def session(appName: String): SparkSession =
+    SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(appName)
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+
   private val dataCache = scala.collection.mutable.HashMap.empty[CorpusSpec, Harness.ExperimentData]
   private val sweepCache = scala.collection.mutable.HashMap.empty[(CorpusSpec, Int), Seq[Harness.SweepPoint]]
 
@@ -82,13 +96,17 @@ object Experiments {
     def speedup: Double = usBigsi / usRambo
   }
 
+  /** T5's corpus sizes, index FP target and hash count. */
+  val ScalingNs: Seq[Int] = Seq(500, 1000, 2000, 3480)
+  val ScalingTargetFp = 0.01
+  val ScalingEta = 4
+
   /** T5: query-time ratio vs. N at a matched ~1% FP target, η=4, D=3,
     * W = round(1.7·√N) — the same W(N) rule behind the paper's W=100@3480 and
     * W=84@2500 choices, which is what makes RAMBO's probe count sub-linear.
     */
-  def scalingTable(spark: SparkSession, ns: Seq[Int] = Seq(500, 1000, 2000, 3480),
-                   targetFp: Double = 0.01, eta: Int = 4): Seq[ScalingRow] = {
-    ns.map { n =>
+  def scalingTable(spark: SparkSession): Seq[ScalingRow] = {
+    ScalingNs.map { n =>
       val frac = n.toDouble / Corpus3480.nFiles
       val spec = Corpus3480.copy(
         nFiles = n,
@@ -101,11 +119,11 @@ object Experiments {
       val nCell = Harness.avgKmersPerCell(d, w, D)
       // Matched *index* FP: BIGSI needs per-filter fp = target; RAMBO's D-fold
       // intersection lets each cell run at target^(1/D).
-      val mBigsi = BloomParams.bitsForFp(math.ceil(nFile).toLong, eta, targetFp).toInt
-      val mRambo = BloomParams.bitsForFp(math.ceil(nCell).toLong, eta,
-        math.pow(targetFp, 1.0 / D)).toInt
-      val b = Harness.runBigsi(d, mBigsi, eta)
-      val r = Harness.runRambo(d, w, D, mRambo, eta)
+      val mBigsi = BloomParams.bitsForFp(math.ceil(nFile).toLong, ScalingEta, ScalingTargetFp).toInt
+      val mRambo = BloomParams.bitsForFp(math.ceil(nCell).toLong, ScalingEta,
+        math.pow(ScalingTargetFp, 1.0 / D)).toInt
+      val b = Harness.runBigsi(d, mBigsi, ScalingEta)
+      val r = Harness.runRambo(d, w, D, mRambo, ScalingEta)
       ScalingRow(n, w, mBigsi, mRambo, b.fpPct, r.fpPct, b.usProbe, r.usProbe)
     }
   }
@@ -125,23 +143,26 @@ object Experiments {
   /** One row of the T6 construction-scaling table. */
   final case class BuildRow(partitions: Int, buildSec: Double, speedup: Double, mPairsPerSec: Double)
 
+  /** T6's input partition counts and index geometry (m, η). */
+  val BuildPartitions: Seq[Int] = Seq(1, 2, 4, 8, 16)
+  val BuildM = 131072
+  val BuildEta = 4
+
   /** T6: RAMBO distributed-build wall time vs. input partition count over the
     * 3480-file corpus — the single-box analogue of the SIGMOD "170TB across
     * 100 nodes" construction claim (a pure map + OR-merge, so wall time should
     * fall near-linearly until the cores saturate).
     */
-  def constructionTable(spark: SparkSession,
-                        partitions: Seq[Int] = Seq(1, 2, 4, 8, 16),
-                        m: Int = 131072, eta: Int = 4): Seq[BuildRow] = {
+  def constructionTable(spark: SparkSession): Seq[BuildRow] = {
     val d = data(spark, Corpus3480)
     val pairs = d.corpusDf.count()
-    val times = partitions.map { p =>
+    val times = BuildPartitions.map { p =>
       val repart = d.corpusDf.repartition(p).cache()
       repart.count()
       // Median of 5 builds — Spark job-scheduling noise at 1-partition scale
       // is comparable to the build itself otherwise.
       val runs = (1 to 5).map(_ =>
-        Timer.timed(Rambo.buildSpark(repart, d.numFiles, W3480, D, m, eta))._2).sorted
+        Timer.timed(Rambo.buildSpark(repart, d.numFiles, W3480, D, BuildM, BuildEta))._2).sorted
       repart.unpersist()
       p -> runs(2)
     }

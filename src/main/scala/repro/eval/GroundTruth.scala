@@ -6,8 +6,9 @@ import org.apache.spark.sql.functions._
 import repro.util.BitVector
 
 /** Exact containment ground truth: for each k-mer, the set of files holding
-  * it. Built once per corpus and used to score every sweep point's false
-  * positives / false negatives.
+  * it. Built from (file, kmer) rows (the harness passes only the rows of its
+  * workload's k-mers) and used to score every sweep point's false positives /
+  * false negatives.
   */
 final case class GroundTruth(numFiles: Int, byKmer: Map[String, BitVector]) {
   private val empty = BitVector.empty(numFiles)
@@ -24,27 +25,15 @@ final case class GroundTruth(numFiles: Int, byKmer: Map[String, BitVector]) {
 
 object GroundTruth {
 
-  /** Invert a local (file, kmer) corpus. */
+  /** Invert (file, kmer) rows: the one truth inversion. Spark callers collect
+    * the rows of the k-mers they score first (see `Harness.prepare`).
+    */
   def fromLocal(corpus: Iterable[(Int, String)], numFiles: Int): GroundTruth = {
     val m = scala.collection.mutable.HashMap.empty[String, BitVector]
     corpus.foreach { case (f, kmer) =>
       m.getOrElseUpdate(kmer, BitVector.empty(numFiles)).set(f)
     }
     GroundTruth(numFiles, m.toMap)
-  }
-
-  /** Invert a (file_id, kmer) DataFrame with a distributed groupBy. */
-  def fromSpark(corpus: DataFrame, numFiles: Int): GroundTruth = {
-    val rows = corpus
-      .groupBy(col("kmer"))
-      .agg(collect_list(col("file_id")) as "files")
-      .collect()
-    val m = rows.map { r =>
-      val bv = BitVector.empty(numFiles)
-      r.getSeq[Int](1).foreach(bv.set)
-      r.getString(0) -> bv
-    }.toMap
-    GroundTruth(numFiles, m)
   }
 
   /** Relational ground truth for a (qid, kmer) query DataFrame: the exact

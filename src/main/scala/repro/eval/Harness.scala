@@ -1,6 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
 
 import repro.core.{Bigsi, MembershipIndex, Rambo}
 import repro.genome.SynthGenomes
@@ -9,8 +10,8 @@ import repro.genome.SynthGenomes.CorpusSpec
 /** Shared experiment driver for the reproduced tables (DESIGN.md §4): builds
   * an index over a cached corpus, measures its empirical FP rate on a shared
   * workload, times both query paths, and renders fixed-width result tables.
-  * `bench/` suites and `jobs/` entrypoints both call into this, so the two
-  * always run identical experiments.
+  * `bench/` suites and the `repro.jobs.Tables` main both call into this, so
+  * the two always run identical experiments.
   */
 object Harness {
 
@@ -41,7 +42,8 @@ object Harness {
     val df = SynthGenomes.corpus(spark, spec).cache()
     df.count() // materialise so build timings exclude generation
     val wanted = Workload.candidates(spec, nPositive, nNegative).distinct.toDF("kmer")
-    val truth = GroundTruth.fromSpark(df.join(wanted, Seq("kmer"), "left_semi"), spec.nFiles)
+    val rows = df.join(wanted, Seq("kmer"), "left_semi").select("file_id", "kmer").as[(Int, String)]
+    val truth = GroundTruth.fromLocal(rows.collect(), spec.nFiles)
     ExperimentData(spec, df, Workload.queries(spec, truth, nPositive, nNegative))
   }
 
@@ -51,10 +53,15 @@ object Harness {
 
   /** Average number of distinct k-mers per RAMBO cell for a (w, d) geometry —
     * the `n` of RAMBO's sizing. Smaller than (files-per-cell × k-mers-per-file)
-    * exactly when the corpus has cross-file redundancy.
+    * exactly when the corpus has cross-file redundancy. Each row is fanned
+    * out to its file's cells by a lookup in [[repro.core.Rambo.fileCells]].
     */
-  def avgKmersPerCell(data: ExperimentData, w: Int, d: Int): Double =
-    Rambo.cellKmers(data.corpusDf, w, d).distinct().count().toDouble / (w * d)
+  def avgKmersPerCell(data: ExperimentData, w: Int, d: Int): Double = {
+    val fileCells = Rambo.fileCells(data.numFiles, w, d)
+    val cellsUdf = udf((fileId: Int) => fileCells(fileId))
+    data.corpusDf.select(explode(cellsUdf(col("file_id"))) as "col", col("kmer"))
+      .distinct().count().toDouble / (w * d)
+  }
 
   /** Build + evaluate one BIGSI sweep point. */
   def runBigsi(data: ExperimentData, m: Int, eta: Int): SweepPoint =

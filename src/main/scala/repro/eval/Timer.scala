@@ -15,15 +15,18 @@ object Timer {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
+  /** Timed and untimed (JIT warm-up) passes of [[microsPerQuery]]. */
+  val Rounds = 3
+  val WarmupRounds = 1
+
   /** Mean microseconds per query of `answer` over `kmers`.
     *
-    * Runs `warmupRounds` untimed passes (JIT), then `rounds` timed passes and
+    * Runs `WarmupRounds` untimed passes (JIT), then `Rounds` timed passes and
     * returns the best round's mean — the standard way to strip scheduler noise
     * from a microbenchmark. Result cardinalities are accumulated into a
     * blackhole so the JIT cannot elide the queries.
     */
-  def microsPerQuery(answer: String => BitVector, kmers: IndexedSeq[String],
-                     rounds: Int = 3, warmupRounds: Int = 1): Double = {
+  def microsPerQuery(answer: String => BitVector, kmers: IndexedSeq[String]): Double = {
     require(kmers.nonEmpty, "empty workload")
     var blackhole = 0L
     def pass(): Long = {
@@ -33,10 +36,10 @@ object Timer {
       System.nanoTime() - t0
     }
     var r = 0
-    while (r < warmupRounds) { pass(); r += 1 }
+    while (r < WarmupRounds) { pass(); r += 1 }
     var best = Long.MaxValue
     r = 0
-    while (r < rounds) { best = math.min(best, pass()); r += 1 }
+    while (r < Rounds) { best = math.min(best, pass()); r += 1 }
     if (blackhole == Long.MinValue) Console.err.println("blackhole") // keep live
     best / 1e3 / kmers.length
   }

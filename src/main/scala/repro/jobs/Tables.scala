@@ -7,10 +7,12 @@ import repro.eval.{Experiments, Harness}
 /** spark-submit entrypoint for the reproduced tables (DESIGN.md §4): takes a
   * table id `T1`–`T6` and prints that table to stdout.
   *
-  * Each table is built from the same corpora/sweeps as the corresponding bench
-  * suite (both call [[repro.eval.Experiments]]).
+  * Each table is built from the same corpora/sweeps, in the same Spark
+  * session settings, as the corresponding bench suite (both call
+  * [[repro.eval.Experiments]]).
   *
-  *   spark-submit --class repro.jobs.Tables repro-jobs.jar T1
+  *   sbt -batch "runMain repro.jobs.Tables T5"
+  *   spark-submit --class repro.jobs.Tables target/scala-2.13/repro_2.13-0.1.0-SNAPSHOT.jar T1
   */
 object Tables {
   import Experiments._
@@ -33,13 +35,7 @@ object Tables {
       System.err.println(s"usage: repro.jobs.Tables <${tables.keys.toSeq.sorted.mkString("|")}>")
       sys.exit(2)
     })
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"rambo-${id.toLowerCase}")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val spark = session(s"rambo-${id.toLowerCase}")
     try println(table(spark))
     finally spark.stop()
   }

@@ -6,8 +6,10 @@ import java.util.Arrays
   *
   * This is the bit-set primitive shared across the repo: reference Bloom
   * filter bit arrays ([[repro.bloom.BloomFilter]]), columns copied out of and
-  * row-ANDs read from an index's [[repro.core.BitMatrix]], partition-membership
-  * sets and query result vectors. It is deliberately minimal — no growth, no boxing — because the
+  * row-ANDs read from an index's [[repro.core.BitMatrix]], RAMBO's cell member
+  * sets, query result vectors and the columns a Spark build decodes from
+  * [[repro.core.BitsetAggregator]]'s buffers (that byte layout lives there,
+  * not here). It is deliberately minimal — no growth, no boxing — because the
   * benchmarked query paths are tight loops over these words.
   *
   * @param numBits logical size; bits are indexed `0 until numBits`
@@ -112,34 +114,4 @@ object BitVector {
 
   /** Wrap existing words (no copy); caller guarantees spare bits are zero. */
   def wrap(numBits: Int, words: Array[Long]): BitVector = new BitVector(numBits, words)
-
-  /** Bytes needed to hold `numBits` bits. */
-  def bytesFor(numBits: Int): Int = (numBits + 7) >>> 3
-
-  /** Decode the little-endian byte layout of [[BitVector.toBytes]]: bit `i`
-    * lives in byte `i/8`, bit `i%8`. This is the wire format crossing the
-    * Spark aggregation boundary (Encoders.BINARY).
-    */
-  def fromBytes(numBits: Int, bytes: Array[Byte]): BitVector = {
-    require(bytes.length == bytesFor(numBits),
-      s"expected ${bytesFor(numBits)} bytes for $numBits bits, got ${bytes.length}")
-    val words = new Array[Long](wordsFor(numBits))
-    var i = 0
-    while (i < bytes.length) {
-      words(i >>> 3) |= (bytes(i) & 0xffL) << ((i & 7) << 3)
-      i += 1
-    }
-    new BitVector(numBits, words)
-  }
-
-  /** Little-endian byte encoding; inverse of [[fromBytes]]. */
-  def toBytes(v: BitVector): Array[Byte] = {
-    val out = new Array[Byte](bytesFor(v.numBits))
-    var i = 0
-    while (i < out.length) {
-      out(i) = ((v.words(i >>> 3) >>> ((i & 7) << 3)) & 0xffL).toByte
-      i += 1
-    }
-    out
-  }
 }

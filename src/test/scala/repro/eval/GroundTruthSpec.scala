@@ -19,13 +19,6 @@ class GroundTruthSpec extends SparkSpec {
     assert(pairCount == local.size)
   }
 
-  test("fromSpark equals fromLocal") {
-    val a = GroundTruth.fromSpark(corpusDf, spec.nFiles)
-    val b = GroundTruth.fromLocal(local, spec.nFiles)
-    assert(a.byKmer.keySet == b.byKmer.keySet)
-    a.byKmer.foreach { case (k, files) => assert(files == b.byKmer(k), s"kmer $k") }
-  }
-
   test("filesOf on an absent kmer is empty") {
     val gt = GroundTruth.fromLocal(local, spec.nFiles)
     val absent = SynthGenomes.negativeKmers(spec, 1).head

@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.SparkSpec
+import repro.core.Rambo
 import repro.genome.SynthGenomes.CorpusSpec
 
 class HarnessSpec extends SparkSpec {
@@ -30,6 +31,14 @@ class HarnessSpec extends SparkSpec {
     val naive = (50.0 / w) * Harness.avgKmersPerFile(data)
     assert(perCell > 0 && perCell < naive,
       s"perCell=$perCell naive=$naive — no redundancy in corpus?")
+  }
+
+  test("avgKmersPerCell is the exact distinct (cell, k-mer) count per cell") {
+    val w = 5; val d = 3
+    val fileCells = Rambo.fileCells(spec.nFiles, w, d)
+    val exact = data.corpusDf.as[(Int, String)].collect()
+      .flatMap { case (f, k) => fileCells(f).map(_ -> k) }.distinct.length
+    assert(Harness.avgKmersPerCell(data, w, d) == exact.toDouble / (w * d))
   }
 
   test("runBigsi produces a sane sweep point") {

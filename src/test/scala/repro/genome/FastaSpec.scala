@@ -82,6 +82,17 @@ class FastaSpec extends SparkSpec {
     assert(kmers == Set("ACGT", "CGTA", "GTAC"))
   }
 
+  test("a soft-masked (lower-case) record explodes to upper-case k-mers") {
+    import org.apache.spark.sql.functions._
+    import spark.implicits._
+    val dir = Files.createTempDirectory("fastamasked")
+    Fasta.write(dir.resolve("f0.fasta"), Seq(Record("c", "acgTAc")))
+    val kmers = Kmers.explodeKmers(Fasta.readDirectory(spark, dir.toString),
+        col("sequence"), 4)
+      .select("kmer").as[String].collect().toSet
+    assert(kmers == Set("ACGT", "CGTA", "GTAC"))
+  }
+
   test("writeFastaCorpus emits nFiles parseable files with shared blocks") {
     val dir = Files.createTempDirectory("corpus")
     val paths = SynthGenomes.writeFastaCorpus(dir, nFiles = 6, contigs = 2,

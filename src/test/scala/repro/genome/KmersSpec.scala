@@ -35,6 +35,11 @@ class KmersSpec extends SparkSpec {
     assert(Kmers.kmers("ACGTN", 3) == Seq("ACG", "CGT"))
   }
 
+  test("soft-masked (lower-case) bases give the same upper-case k-mers") {
+    assert(Kmers.kmers("acgTAcgt", 3) == Kmers.kmers("ACGTACGT", 3))
+    assert(Kmers.kmers("acnGT", 2) == Seq("AC", "GT"))
+  }
+
   test("kmers preserves duplicates, kmerSet does not") {
     val s = "AAAAA"
     assert(Kmers.kmers(s, 2) == Seq("AA", "AA", "AA", "AA"))

@@ -38,14 +38,11 @@ class BitVectorSpec extends AnyFunSuite {
     intercept[IndexOutOfBoundsException](v.clear(1000))
   }
 
-  test("wordsFor and bytesFor round up") {
+  test("wordsFor rounds up") {
     assert(BitVector.wordsFor(0) == 0)
     assert(BitVector.wordsFor(1) == 1)
     assert(BitVector.wordsFor(64) == 1)
     assert(BitVector.wordsFor(65) == 2)
-    assert(BitVector.bytesFor(0) == 0)
-    assert(BitVector.bytesFor(8) == 1)
-    assert(BitVector.bytesFor(9) == 2)
   }
 
   test("cardinality counts set bits across words") {
@@ -138,28 +135,6 @@ class BitVectorSpec extends AnyFunSuite {
 
   test("constructor rejects wrong word count") {
     intercept[IllegalArgumentException](new BitVector(65, new Array[Long](1)))
-  }
-
-  test("toBytes/fromBytes round-trip random vectors") {
-    val r = new Random(3)
-    Seq(1, 7, 8, 9, 63, 64, 65, 200, 1000).foreach { n =>
-      val v = new BitVector(n)
-      (0 until n / 2 + 1).foreach(_ => v.set(r.nextInt(n)))
-      val back = BitVector.fromBytes(n, BitVector.toBytes(v))
-      assert(back == v, s"n=$n")
-    }
-  }
-
-  test("fromBytes matches bit-by-bit semantics") {
-    // byte 0 = 0b00000101 → bits 0 and 2
-    val v = BitVector.fromBytes(16, Array[Byte](5, 0))
-    assert(v.setBits.toSeq == Seq(0, 2))
-    val w = BitVector.fromBytes(16, Array[Byte](0, 0x80.toByte))
-    assert(w.setBits.toSeq == Seq(15))
-  }
-
-  test("fromBytes rejects wrong length") {
-    intercept[IllegalArgumentException](BitVector.fromBytes(16, new Array[Byte](1)))
   }
 
   test("or-based accumulation equals set union on random data (property)") {
