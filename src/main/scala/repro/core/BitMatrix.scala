@@ -7,9 +7,9 @@ import repro.util.BitVector
   * This is the one storage layout of every index, BIGSI's "bitsliced
   * signature index": column `c` is one Bloom filter (a dataset for BIGSI, a
   * (repetition, group) cell for RAMBO) and row `r` is bit `r` of every
-  * filter. Both query paths read these same bits: [[get]] probes one column
-  * at a position, [[rowAnd]] ANDs the η rows selected by the query's hash
-  * values into a `numCols`-bit hit vector.
+  * filter. Both query paths read these same bits and return a `numCols`-bit
+  * hit vector: [[probe]] reads each column's η bits, one filter at a time, and
+  * [[rowAnd]] ANDs the η rows selected by the query's hash values word by word.
   *
   * @param numRows matrix height = Bloom filter size m
   * @param numCols matrix width = number of columns (files or cells)
@@ -40,19 +40,61 @@ final class BitMatrix(val numRows: Int, val numCols: Int) extends Serializable {
   @inline private def checkCol(c: Int): Unit =
     if (c < 0 || c >= numCols) throw new IndexOutOfBoundsException(s"col $c of $numCols")
 
-  /** Copy of column `col` as a `numRows`-bit vector (that column's filter). */
+  /** Copy of column `col` as a `numRows`-bit vector (that column's filter).
+    * Each output word gathers 64 rows' bits by shift and mask, with no branch
+    * on the bit values.
+    */
   def column(col: Int): BitVector = {
     checkCol(col)
     val out = BitVector.empty(numRows)
-    val mask = 1L << (col & 63)
+    val shift = col & 63
     var i = col >>> 6
     var r = 0
     while (r < numRows) {
-      if ((rows(i) & mask) != 0L) out.words(r >>> 6) |= 1L << (r & 63)
-      i += wordsPerRow
-      r += 1
+      val end = math.min(r + 64, numRows)
+      var word = 0L
+      var b = 0
+      while (r < end) {
+        word |= ((rows(i) >>> shift) & 1L) << b
+        i += wordsPerRow
+        r += 1
+        b += 1
+      }
+      out.words((r - 1) >>> 6) = word
     }
     out
+  }
+
+  /** Probe every column's filter at the given rows: the `numCols`-bit vector
+    * of columns whose bits are set at all of them. This is the per-filter
+    * query the paper times, O(columns·η): each column ANDs exactly its η bits,
+    * with no early exit at the first unset bit, because a half-full filter
+    * makes that exit an unpredictable branch per column. It deliberately does
+    * not AND whole row words as [[rowAnd]] does, which would cost
+    * O(columns/64·η) and erase the per-filter cost model BIGSI and RAMBO are
+    * compared under.
+    */
+  def probe(rowIds: Array[Int]): BitVector = {
+    require(rowIds.nonEmpty, "need at least one row")
+    val bases = new Array[Int](rowIds.length)
+    var i = 0
+    while (i < rowIds.length) {
+      checkRow(rowIds(i))
+      bases(i) = rowIds(i) * wordsPerRow
+      i += 1
+    }
+    val out = new Array[Long](wordsPerRow)
+    var c = 0
+    while (c < numCols) {
+      val w = c >>> 6
+      val shift = c & 63
+      var bit = 1L
+      i = 0
+      while (i < bases.length) { bit &= rows(bases(i) + w) >>> shift; i += 1 }
+      out(w) |= (bit & 1L) << shift
+      c += 1
+    }
+    BitVector.wrap(numCols, out)
   }
 
   /** AND the given bitslices (rows) into a `numCols`-bit vector — the bitslice
@@ -61,6 +103,7 @@ final class BitMatrix(val numRows: Int, val numCols: Int) extends Serializable {
     */
   def rowAnd(rowIds: Array[Int]): BitVector = {
     require(rowIds.nonEmpty, "need at least one row")
+    checkRow(rowIds(0))
     val acc = new Array[Long](wordsPerRow)
     val base0 = rowIds(0) * wordsPerRow
     var w = 0

@@ -15,13 +15,16 @@ import repro.util.{BitVector, Hashing}
   *
   * The matrix is the only copy of the bits. Two query paths read it and share
   * one `resolve`:
-  *  - [[queryProbe]]: probe each column at the query's η positions, stopping
-  *    at the first unset bit — O(columns·η) memory accesses. This is the cost
-  *    model the paper measures (its implementation probes BIGSI's Bloom filter
-  *    class per column), and the path the benches time.
+  *  - [[queryProbe]]: probe each column at the query's η positions through
+  *    [[BitMatrix.probe]], one shared kernel for BIGSI and RAMBO that reads
+  *    exactly η bits per column with no early exit — O(columns·η) bit reads.
+  *    This is the cost model the paper measures (its implementation probes
+  *    BIGSI's Bloom filter class per column), and the path the benches time.
   *  - [[queryBitsliced]]: AND the η selected bitslice rows — BIGSI's
   *    publicised bit-trick; still O(columns) work per query (each row is one
-  *    bit per column). Kept for cross-validation and reference timings.
+  *    bit per column), but 64 columns per word. Kept for cross-validation and
+  *    reference timings, not as the probe: it would drop the per-filter cost
+  *    the paper compares.
   *
   * @param numFiles N datasets
   * @param eta      hash functions per column filter
@@ -46,17 +49,7 @@ abstract class MembershipIndex(
   final def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
 
   /** Columns whose filters pass the membership test at pre-hashed positions. */
-  final def hitColumns(pos: Array[Int]): BitVector = {
-    val hits = BitVector.empty(matrix.numCols)
-    var c = 0
-    while (c < matrix.numCols) {
-      var i = 0
-      while (i < pos.length && matrix.get(pos(i), c)) i += 1
-      if (i == pos.length) hits.set(c)
-      c += 1
-    }
-    hits
-  }
+  final def hitColumns(pos: Array[Int]): BitVector = matrix.probe(pos)
 
   /** Map a hit-column vector to the N-bit vector of candidate files. */
   def resolve(hits: BitVector): BitVector

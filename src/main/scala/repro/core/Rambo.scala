@@ -41,23 +41,38 @@ final class RamboIndex(
   Rambo.fileCells(numFiles, w, d).zipWithIndex.foreach { case (cs, f) => cs.foreach(memberships(_).set(f)) }
 
   /** Algorithm 2: union the member sets of the hit cells within each
-    * repetition, then intersect those unions across repetitions.
+    * repetition, then intersect those unions across repetitions. Walks only
+    * the set bits of `hits`, in ascending cell order, ORing each hit cell's
+    * member words into one scratch union; at each repetition boundary the
+    * union is folded into the answer. A repetition with no hit cell empties
+    * the answer, and the walk stops there.
     */
   def resolve(hits: BitVector): BitVector = {
-    var result: BitVector = null
-    var r = 0
-    while (r < d) {
-      val repUnion = BitVector.empty(numFiles)
-      var g = 0
-      while (g < w) {
-        val c = r * w + g
-        if (hits.get(c)) repUnion.or(memberships(c))
-        g += 1
+    require(hits.numBits == w * d, s"${hits.numBits} hit bits for ${w * d} cells")
+    val nw = BitVector.wordsFor(numFiles)
+    val result = new Array[Long](nw)
+    val union = new Array[Long](nw)
+    var rep = 0 // repetition whose union is being gathered
+    var hw = 0
+    var word = hits.words(0)
+    while (rep < d) {
+      while (word == 0L && hw + 1 < hits.words.length) { hw += 1; word = hits.words(hw) }
+      val c = if (word == 0L) w * d else (hw << 6) + java.lang.Long.numberOfTrailingZeros(word)
+      if (c < (rep + 1) * w) {
+        val mw = memberships(c).words
+        var i = 0
+        while (i < nw) { union(i) |= mw(i); i += 1 }
+        word &= word - 1
+      } else {
+        // Fold repetition `rep`'s union into the answer and clear it.
+        var any = 0L
+        var i = 0
+        if (rep == 0) while (i < nw) { result(i) = union(i); any |= union(i); union(i) = 0L; i += 1 }
+        else while (i < nw) { result(i) &= union(i); any |= result(i); union(i) = 0L; i += 1 }
+        rep = if (any == 0L) d else rep + 1
       }
-      if (result == null) result = repUnion else result.and(repUnion)
-      r += 1
     }
-    result
+    BitVector.wrap(numFiles, result)
   }
 
   /** Index size: the m×(d·w) bit matrix plus the d·w member sets of N bits. */

@@ -87,6 +87,63 @@ class BitMatrixSpec extends AnyFunSuite {
     }
   }
 
+  /** Reference probe: per-bit `get`, stopping at a column's first unset bit. */
+  private def probeRef(m: BitMatrix, rowIds: Array[Int]): BitVector = {
+    val hits = BitVector.empty(m.numCols)
+    (0 until m.numCols).foreach { c =>
+      var i = 0
+      while (i < rowIds.length && m.get(rowIds(i), c)) i += 1
+      if (i == rowIds.length) hits.set(c)
+    }
+    hits
+  }
+
+  private def randomMatrix(r: Random, numRows: Int, numCols: Int, density: Double): BitMatrix = {
+    val m = new BitMatrix(numRows, numCols)
+    for (row <- 0 until numRows; c <- 0 until numCols if r.nextDouble() < density) m.set(row, c)
+    m
+  }
+
+  test("probe equals the per-bit reference with early exit") {
+    val r = new Random(17)
+    val numRows = 97
+    for (numCols <- Seq(1, 63, 64, 65, 300, 3480)) {
+      val matrices = Seq(0.0, 0.3, 0.5, 0.8, 1.0).map(randomMatrix(r, numRows, numCols, _))
+      for (m <- matrices; eta <- 1 to 4; _ <- 0 until 5) {
+        val rowIds = Array.fill(eta)(r.nextInt(numRows))
+        assert(m.probe(rowIds) == probeRef(m, rowIds), s"numCols=$numCols eta=$eta")
+      }
+    }
+  }
+
+  test("probe and rowAnd check every row id, the first included") {
+    val numRows = 4
+    val m = new BitMatrix(numRows, 70)
+    val bigsi = new BigsiIndex(70, 2, m)
+    val rambo = new RamboIndex(70, 35, 2, 2, m)
+    for (bad <- Seq(-1, numRows); rowIds <- Seq(Array(bad, 0), Array(0, bad))) {
+      val readers = Seq[Array[Int] => Any](m.probe, m.rowAnd, bigsi.hitColumns, rambo.hitColumns,
+        rambo.queryProbePositions)
+      readers.foreach { read =>
+        val e = intercept[IndexOutOfBoundsException](read(rowIds))
+        assert(e.getMessage == s"row $bad of $numRows")
+      }
+    }
+    intercept[IllegalArgumentException](m.probe(Array.empty[Int]))
+  }
+
+  test("column copies equal the per-bit get") {
+    val r = new Random(23)
+    for (numCols <- Seq(1, 63, 64, 65); numRows <- Seq(1, 64, 130)) {
+      val m = randomMatrix(r, numRows, numCols, 0.5)
+      (0 until numCols).foreach { c =>
+        val col = m.column(c)
+        assert(col.numBits == numRows)
+        (0 until numRows).foreach(row => assert(col.get(row) == m.get(row, c), s"($row, $c)"))
+      }
+    }
+  }
+
   test("sizeBytes matches the flat layout") {
     assert(new BitMatrix(10, 64).sizeBytes == 10 * 8)
     assert(new BitMatrix(10, 65).sizeBytes == 10 * 2 * 8)

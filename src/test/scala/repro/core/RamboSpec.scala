@@ -94,6 +94,31 @@ class RamboSpec extends SparkSpec {
     assert(index.queryProbe(kmer) == expected)
   }
 
+  test("resolve equals the per-repetition union/intersection reference") {
+    // Algorithm 2 as a plain loop over all W·D cells.
+    def reference(idx: RamboIndex, hits: BitVector): BitVector =
+      (0 until idx.d).map { r =>
+        val u = BitVector.empty(idx.numFiles)
+        (0 until idx.w).foreach(g => if (hits.get(r * idx.w + g)) u.or(idx.memberships(r * idx.w + g)))
+        u
+      }.reduce { (a, b) => a.and(b); a }
+    val rnd = new scala.util.Random(29)
+    val (w, d) = (100, 3) // repetition boundaries at cells 100 and 200 fall mid-word
+    for (n <- Seq(1, 63, 64, 65, 3480)) {
+      val idx = new RamboIndex(n, w, d, 1, new BitMatrix(1, w * d))
+      def random(p: Double) = BitVector.of(w * d, (0 until w * d).filter(_ => rnd.nextDouble() < p))
+      val randoms = Seq(0.01, 0.05, 0.2, 0.5, 0.9).flatMap(p => Seq.fill(10)(random(p)))
+      val oneRepEmpty = (0 until d).map { r =>
+        val h = random(0.5); (r * w until (r + 1) * w).foreach(h.clear); h
+      }
+      val cases = Seq(BitVector.empty(w * d), BitVector.full(w * d)) ++ randoms ++ oneRepEmpty
+      cases.foreach(h => assert(idx.resolve(h) == reference(idx, h), s"n=$n hits=${h.setBits.toSeq}"))
+      assert(idx.resolve(BitVector.full(w * d)) == BitVector.full(n))
+      assert(idx.resolve(BitVector.empty(w * d)).cardinality == 0)
+      intercept[IllegalArgumentException](idx.resolve(BitVector.empty(w * d - 1)))
+    }
+  }
+
   test("oversized filters recover the exact candidate intersection") {
     // With no Bloom FPs, the result is exactly ∩_d (union of cells holding a
     // true file) — which contains truth and only files colliding with truth
