@@ -1,22 +1,19 @@
 package repro.bench
 
-import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Paths, StandardOpenOption}
+import java.nio.file.Paths
 
 import repro.SparkSpec
-import repro.eval.{Experiments, Harness}
+import repro.eval.{Experiments, Harness, Table}
 
 /** Shared output plumbing for the bench suites: every table is printed to the
-  * test log and appended to `bench_results/<table>.txt` so EXPERIMENTS.md can
-  * be diffed against a fresh run.
+  * test log and written as `bench_results/<id>.txt` and `<id>.json` so
+  * EXPERIMENTS.md can be diffed against a fresh run.
   */
 trait BenchOutput { self: SparkSpec =>
-  def record(name: String, table: String): Unit = {
-    println(table)
-    val dir = Paths.get(sys.props.getOrElse("bench.out.dir", "bench_results"))
-    Files.createDirectories(dir)
-    Files.write(dir.resolve(s"$name.txt"), table.getBytes(StandardCharsets.UTF_8),
-      StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
+  def record[R <: Product](table: Table[R]): Seq[R] = {
+    print(table.text)
+    table.write(Paths.get(sys.props.getOrElse("bench.out.dir", "bench_results")))
+    table.rows
   }
 
   /** Fastest probe-path point of `method` at FP below `fpPct`, if any. */
@@ -30,9 +27,7 @@ trait BenchOutput { self: SparkSpec =>
   */
 class BenchTable1QueryTime3480 extends SparkSpec with BenchOutput {
   test("T1: query time vs FP rate on 3480 files") {
-    val rows = Experiments.sweep(spark, Experiments.Corpus3480, Experiments.W3480)
-    record("T1_query_time_3480",
-      Harness.formatTable("T1: Query time vs FP rate, 3480 files (paper Fig. 5)", rows))
+    val rows = record(Experiments.t1(spark))
     // Paper's headline claim at this N: RAMBO beats BIGSI at matched accuracy.
     for (fpCut <- Seq(2.0, 10.0)) {
       val b = fastestBelow(rows, "BIGSI", fpCut)
@@ -49,9 +44,7 @@ class BenchTable1QueryTime3480 extends SparkSpec with BenchOutput {
   */
 class BenchTable2QueryTime2500 extends SparkSpec with BenchOutput {
   test("T2: query time vs FP rate on 2500 files") {
-    val rows = Experiments.sweep(spark, Experiments.Corpus2500, Experiments.W2500)
-    record("T2_query_time_2500",
-      Harness.formatTable("T2: Query time vs FP rate, 2500 files (paper Fig. 6)", rows))
+    val rows = record(Experiments.t2(spark))
     val b = fastestBelow(rows, "BIGSI", 2.0)
     val r = fastestBelow(rows, "RAMBO", 2.0)
     assert(b.nonEmpty && r.nonEmpty)
@@ -65,9 +58,7 @@ class BenchTable2QueryTime2500 extends SparkSpec with BenchOutput {
   */
 class BenchTable3Memory3480 extends SparkSpec with BenchOutput {
   test("T3: index memory vs FP rate on 3480 files") {
-    val rows = Experiments.sweep(spark, Experiments.Corpus3480, Experiments.W3480)
-    record("T3_memory_3480",
-      Harness.formatTable("T3: Memory vs FP rate, 3480 files (paper Fig. 7)", rows))
+    val rows = record(Experiments.t3(spark))
     // Memory is monotone in m within a method/eta — sanity of the sweep.
     for (method <- Seq("BIGSI", "RAMBO"); eta <- Experiments.Etas) {
       val pts = rows.filter(p => p.method.startsWith(method) && p.eta == eta).sortBy(_.mBits)
@@ -79,9 +70,7 @@ class BenchTable3Memory3480 extends SparkSpec with BenchOutput {
 /** T4 — paper Fig. 8 as a table: index memory vs FP rate, 2500 files. */
 class BenchTable4Memory2500 extends SparkSpec with BenchOutput {
   test("T4: index memory vs FP rate on 2500 files") {
-    val rows = Experiments.sweep(spark, Experiments.Corpus2500, Experiments.W2500)
-    record("T4_memory_2500",
-      Harness.formatTable("T4: Memory vs FP rate, 2500 files (paper Fig. 8)", rows))
+    val rows = record(Experiments.t4(spark))
     // FP falls as memory grows for both methods (the tradeoff both figures plot).
     for (method <- Seq("BIGSI", "RAMBO"); eta <- Experiments.Etas) {
       val pts = rows.filter(p => p.method.startsWith(method) && p.eta == eta).sortBy(_.mBits)
@@ -95,8 +84,7 @@ class BenchTable4Memory2500 extends SparkSpec with BenchOutput {
   */
 class BenchTable5Scaling extends SparkSpec with BenchOutput {
   test("T5: RAMBO speedup grows with the number of files") {
-    val rows = Experiments.scalingTable(spark)
-    record("T5_scaling", Experiments.formatScaling(rows))
+    val rows = record(Experiments.t5(spark))
     assert(rows.last.speedup > 1.3,
       s"RAMBO not clearly faster at N=${rows.last.n}: ${rows.last.speedup}")
     // Sub-linear scaling: the gain at large N must exceed the smallest N's.
@@ -113,8 +101,7 @@ class BenchTable5Scaling extends SparkSpec with BenchOutput {
   */
 class BenchTable6Construction extends SparkSpec with BenchOutput {
   test("T6: distributed build scales with partitions") {
-    val rows = Experiments.constructionTable(spark)
-    record("T6_construction", Experiments.formatConstruction(rows))
+    val rows = record(Experiments.t6(spark))
     val best = rows.map(_.speedup).max
     assert(best > 2.0, s"parallel build speedup only ${best}x over 1 partition")
   }

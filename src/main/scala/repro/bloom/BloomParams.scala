@@ -24,10 +24,6 @@ object BloomParams {
     math.ceil(-eta.toDouble * n / math.log(1.0 - fill)).toLong
   }
 
-  /** Optimal hash count for a given bits-per-key ratio: `ln 2 · m/n`. */
-  def optimalEta(m: Long, n: Long): Int =
-    math.max(1, math.round(math.log(2) * m / n).toInt)
-
   /** RAMBO whole-index FP on a universal negative (a key in no file): the
     * probability a given file is falsely reported is the product over its D
     * cells of each cell filter's FP. With equal per-cell FP `cellFp` this is

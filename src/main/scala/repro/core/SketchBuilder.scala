@@ -24,6 +24,8 @@ import repro.util.{BitVector, Hashing}
   */
 object SketchBuilder {
 
+  private val FallbackThreshold = "spark.sql.objectHashAggregate.sortBased.fallbackThreshold"
+
   /** One (file, kmer) pair's fan-out, hashed once: the columns file `fileId`
     * feeds and the k-mer's η positions, which are set in each of them.
     */
@@ -52,11 +54,19 @@ object SketchBuilder {
     }
     val agg = new BitsetAggregator(m)
     val aggUdf = udaf(agg)
-    val rows = corpus
+    val grouped = corpus
       .select(explode(entriesUdf(col("file_id"), col("kmer"))) as "e")
       .groupBy(shiftright(col("e"), 32).cast("int") as "col")
       .agg(aggUdf(col("e").bitwiseAND(0xffffffffL).cast("int")) as "bits")
-      .collect()
+    // A task's aggregate falls back to a sort once its map holds this many
+    // groups with input left; numCols + 1 keeps every task on the hash path.
+    // Spark reads the setting when collect() runs the job, so it wraps that call.
+    val conf = corpus.sparkSession.conf
+    val previous = conf.getAll.get(FallbackThreshold)
+    conf.set(FallbackThreshold, numCols + 1L)
+    val rows =
+      try grouped.collect()
+      finally previous.fold(conf.unset(FallbackThreshold))(conf.set(FallbackThreshold, _))
 
     val out = Array.fill(numCols)(BitVector.empty(m))
     rows.foreach(r => out(r.getInt(0)) = agg.decode(r.getAs[Array[Byte]](1)))

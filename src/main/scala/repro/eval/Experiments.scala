@@ -8,12 +8,12 @@ import repro.genome.SynthGenomes.CorpusSpec
 
 /** Canonical definitions of the reproduced experiments T1–T6 (DESIGN.md §4).
   *
-  * Both the `bench/` suites and the `repro.jobs.Tables` main call these, in a
-  * session built by [[session]], so a table is always regenerated from the
-  * same corpus, geometry, sweep and Spark settings regardless of how it is
-  * launched. Results are cached per JVM so a bench run evaluating the
-  * query-time view (T1/T2) and the memory view (T3/T4) of the same sweep
-  * builds each index once.
+  * Both the `bench/` suites and the `repro.jobs.Tables` main run these from
+  * one registry ([[Tables]]), in a session built by [[session]], through one
+  * [[Table]] writer, so a table is always regenerated from the same corpus,
+  * geometry, sweep and Spark settings regardless of how it is launched.
+  * Results are cached per JVM so a bench run evaluating the query-time view
+  * (T1/T2) and the memory view (T3/T4) of the same sweep builds each index once.
   *
   * Scaling notes vs. the paper: N, W, D, η and k match the paper exactly
   * (3480/2500 files, W=100/84, D=3, η∈{3,4}, k=31). Per-file k-mer counts are
@@ -56,16 +56,15 @@ object Experiments {
   val NPositive = 600
   val NNegative = 2400
 
-  /** The Spark session the tables and the tests run in. Master and shuffle
-    * partitions come from `SPARK_MASTER` and `SPARK_SHUFFLE_PARTITIONS`
-    * (default `local[*]`, 64). Broadcast joins are off, so joins exercise the
-    * shuffle path.
+  /** The Spark session the tables and the tests run in, with 64 shuffle
+    * partitions. The master comes from `SPARK_MASTER` (default `local[*]`).
+    * Broadcast joins are off, so joins exercise the shuffle path.
     */
   def session(appName: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
@@ -88,13 +87,13 @@ object Experiments {
     })
   }
 
-  /** One row of the T5 scaling table. */
+  /** One row of the T5 scaling table; `speedup` is `usBigsi / usRambo`. */
   final case class ScalingRow(
       n: Int, w: Int, mBigsi: Int, mRambo: Int,
       fpBigsiPct: Double, fpRamboPct: Double,
-      usBigsi: Double, usRambo: Double) {
-    def speedup: Double = usBigsi / usRambo
-  }
+      usBigsi: Double, usBigsiIqr: Double,
+      usRambo: Double, usRamboIqr: Double,
+      speedup: Double)
 
   /** T5's corpus sizes, index FP target and hash count. */
   val ScalingNs: Seq[Int] = Seq(500, 1000, 2000, 3480)
@@ -124,24 +123,16 @@ object Experiments {
         math.pow(ScalingTargetFp, 1.0 / D)).toInt
       val b = Harness.runBigsi(d, mBigsi, ScalingEta)
       val r = Harness.runRambo(d, w, D, mRambo, ScalingEta)
-      ScalingRow(n, w, mBigsi, mRambo, b.fpPct, r.fpPct, b.usProbe, r.usProbe)
+      ScalingRow(n, w, mBigsi, mRambo, b.fpPct, r.fpPct,
+        b.usProbe, b.usProbeIqr, r.usProbe, r.usProbeIqr, b.usProbe / r.usProbe)
     }
   }
 
-  def formatScaling(rows: Seq[ScalingRow]): String = {
-    val sb = new StringBuilder
-    sb.append("== T5: query time scaling with N (matched ~1% FP, eta=4, D=3, W=1.7*sqrt(N)) ==\n")
-    sb.append(f"${"N"}%6s ${"W"}%5s ${"m_bigsi"}%9s ${"m_rambo"}%9s ${"FP_b_%"}%8s ${"FP_r_%"}%8s " +
-              f"${"us/q_BIGSI"}%11s ${"us/q_RAMBO"}%11s ${"speedup"}%8s\n")
-    rows.foreach { r =>
-      sb.append(f"${r.n}%6d ${r.w}%5d ${r.mBigsi}%9d ${r.mRambo}%9d ${r.fpBigsiPct}%8.3f " +
-                f"${r.fpRamboPct}%8.3f ${r.usBigsi}%11.2f ${r.usRambo}%11.2f ${r.speedup}%8.2f\n")
-    }
-    sb.toString
-  }
-
-  /** One row of the T6 construction-scaling table. */
-  final case class BuildRow(partitions: Int, buildSec: Double, speedup: Double, mPairsPerSec: Double)
+  /** One row of the T6 construction-scaling table: the median build time of
+    * 5 builds with their IQR, and the speedup and throughput at that median.
+    */
+  final case class BuildRow(partitions: Int, buildSec: Double, buildSecIqr: Double,
+                            speedup: Double, mPairsPerSec: Double)
 
   /** T6's input partition counts and index geometry (m, η). */
   val BuildPartitions: Seq[Int] = Seq(1, 2, 4, 8, 16)
@@ -162,21 +153,31 @@ object Experiments {
       // Median of 5 builds — Spark job-scheduling noise at 1-partition scale
       // is comparable to the build itself otherwise.
       val runs = (1 to 5).map(_ =>
-        Timer.timed(Rambo.buildSpark(repart, d.numFiles, W3480, D, BuildM, BuildEta))._2).sorted
+        Timer.timed(Rambo.buildSpark(repart, d.numFiles, W3480, D, BuildM, BuildEta))._2)
       repart.unpersist()
-      p -> runs(2)
+      p -> Timer.quartiles(runs)
     }
-    val base = times.head._2
-    times.map { case (p, t) => BuildRow(p, t, base / t, pairs / t / 1e6) }
+    val base = times.head._2.median
+    times.map { case (p, t) =>
+      BuildRow(p, t.median, t.iqr, base / t.median, pairs / t.median / 1e6)
+    }
   }
 
-  def formatConstruction(rows: Seq[BuildRow]): String = {
-    val sb = new StringBuilder
-    sb.append("== T6: RAMBO Spark build time vs input partitions (3480 files, W=100, D=3) ==\n")
-    sb.append(f"${"partitions"}%10s ${"build_s"}%9s ${"speedup"}%8s ${"Mpairs/s"}%9s\n")
-    rows.foreach { r =>
-      sb.append(f"${r.partitions}%10d ${r.buildSec}%9.2f ${r.speedup}%8.2f ${r.mPairsPerSec}%9.3f\n")
-    }
-    sb.toString
-  }
+  /** T1–T6: each table's file id and title, with its rows computed in `s`. */
+  def t1(s: SparkSession) = Table("T1_query_time_3480",
+    "T1: Query time vs FP rate, 3480 files (paper Fig. 5)", sweep(s, Corpus3480, W3480))
+  def t2(s: SparkSession) = Table("T2_query_time_2500",
+    "T2: Query time vs FP rate, 2500 files (paper Fig. 6)", sweep(s, Corpus2500, W2500))
+  def t3(s: SparkSession) = Table("T3_memory_3480",
+    "T3: Memory vs FP rate, 3480 files (paper Fig. 7)", sweep(s, Corpus3480, W3480))
+  def t4(s: SparkSession) = Table("T4_memory_2500",
+    "T4: Memory vs FP rate, 2500 files (paper Fig. 8)", sweep(s, Corpus2500, W2500))
+  def t5(s: SparkSession) = Table("T5_scaling",
+    "T5: query time scaling with N (matched ~1% FP, eta=4, D=3, W=1.7*sqrt(N))", scalingTable(s))
+  def t6(s: SparkSession) = Table("T6_construction",
+    "T6: RAMBO Spark build time vs input partitions (3480 files, W=100, D=3)", constructionTable(s))
+
+  /** The registry, by table name. */
+  val Tables: Map[String, SparkSession => Table[_ <: Product]] =
+    Map("T1" -> t1, "T2" -> t2, "T3" -> t3, "T4" -> t4, "T5" -> t5, "T6" -> t6)
 }

@@ -9,20 +9,24 @@ import repro.genome.SynthGenomes.CorpusSpec
 
 /** Shared experiment driver for the reproduced tables (DESIGN.md §4): builds
   * an index over a cached corpus, measures its empirical FP rate on a shared
-  * workload, times both query paths, and renders fixed-width result tables.
-  * `bench/` suites and the `repro.jobs.Tables` main both call into this, so
-  * the two always run identical experiments.
+  * workload and times both query paths, giving one [[SweepPoint]] row.
+  * [[Experiments]] assembles these rows into T1–T5, so the `bench/` suites
+  * and the `repro.jobs.Tables` main always run identical experiments.
   */
 object Harness {
 
-  /** One row of a sweep table. */
+  /** One row of a sweep table. Each µs/query field is the median of
+    * [[Timer.microsPerQuery]]'s samples, with their IQR beside it.
+    */
   final case class SweepPoint(
       method: String,
       eta: Int,
       mBits: Int,
       fpPct: Double,
       usProbe: Double,
+      usProbeIqr: Double,
       usBitsliced: Double,
+      usBitslicedIqr: Double,
       indexMB: Double,
       buildSec: Double)
 
@@ -73,7 +77,7 @@ object Harness {
       Rambo.buildSpark(data.corpusDf, data.numFiles, w, d, m, eta))
 
   /** Time `build`, then score the built index: FP rate (failing on any false
-    * negative), µs/query on both query paths, and index size.
+    * negative), µs/query on both query paths (median and IQR), and index size.
     */
   private def evaluate(method: String, data: ExperimentData)(build: => MembershipIndex): SweepPoint = {
     val (index, buildSec) = Timer.timed(build)
@@ -82,20 +86,7 @@ object Harness {
       s"$method produced ${ev.falseNegatives} false negatives — Bloom filters cannot miss")
     val usProbe = Timer.microsPerQuery(index.queryProbe, data.kmers)
     val usBits  = Timer.microsPerQuery(index.queryBitsliced, data.kmers)
-    SweepPoint(method, index.eta, index.m, ev.fpPercent, usProbe, usBits,
-      index.indexBytes / 1024.0 / 1024.0, buildSec)
-  }
-
-  /** Render sweep points as the fixed-width table EXPERIMENTS.md records. */
-  def formatTable(title: String, rows: Seq[SweepPoint]): String = {
-    val sb = new StringBuilder
-    sb.append(s"== $title ==\n")
-    sb.append(f"${"method"}%-18s ${"eta"}%3s ${"m_bits"}%9s ${"FP_%"}%9s " +
-              f"${"us/q_probe"}%10s ${"us/q_slice"}%10s ${"index_MB"}%9s ${"build_s"}%8s\n")
-    rows.foreach { p =>
-      sb.append(f"${p.method}%-18s ${p.eta}%3d ${p.mBits}%9d ${p.fpPct}%9.4f " +
-                f"${p.usProbe}%10.2f ${p.usBitsliced}%10.2f ${p.indexMB}%9.3f ${p.buildSec}%8.2f\n")
-    }
-    sb.toString
+    SweepPoint(method, index.eta, index.m, ev.fpPercent, usProbe.median, usProbe.iqr,
+      usBits.median, usBits.iqr, index.indexBytes / 1024.0 / 1024.0, buildSec)
   }
 }

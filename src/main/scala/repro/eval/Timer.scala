@@ -4,7 +4,9 @@ import repro.util.BitVector
 
 /** Query-latency measurement: single-threaded driver loop over a workload,
   * matching the paper's methodology (per-query times on a built in-memory
-  * index, averaged over the query set).
+  * index, averaged over the query set). A timing is reported as the median
+  * and interquartile range of independent samples ([[quartiles]]), because
+  * one sample on a shared host can land far from the trend.
   */
 object Timer {
 
@@ -15,18 +17,41 @@ object Timer {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Timed and untimed (JIT warm-up) passes of [[microsPerQuery]]. */
-  val Rounds = 3
+  /** Untimed (JIT warm-up) passes, then the independent samples of
+    * [[microsPerQuery]], each the best of `Rounds` timed passes.
+    */
   val WarmupRounds = 1
+  val Samples = 5
+  val Rounds = 3
 
-  /** Mean microseconds per query of `answer` over `kmers`.
+  /** First quartile, median and third quartile of a set of samples. */
+  final case class Quartiles(q1: Double, median: Double, q3: Double) {
+    def iqr: Double = q3 - q1
+  }
+
+  /** Quartiles of `xs` by linear interpolation between order statistics: the
+    * p-quantile of n sorted values sits at position p·(n−1).
+    */
+  def quartiles(xs: Seq[Double]): Quartiles = {
+    require(xs.nonEmpty, "no samples")
+    val s = xs.sorted.toIndexedSeq
+    def at(p: Double): Double = {
+      val h = p * (s.length - 1)
+      val lo = h.toInt
+      s(lo) + (h - lo) * (s(math.min(lo + 1, s.length - 1)) - s(lo))
+    }
+    Quartiles(at(0.25), at(0.5), at(0.75))
+  }
+
+  /** Mean microseconds per query of `answer` over `kmers`, as quartiles over
+    * `Samples` independent samples.
     *
-    * Runs `WarmupRounds` untimed passes (JIT), then `Rounds` timed passes and
-    * returns the best round's mean — the standard way to strip scheduler noise
-    * from a microbenchmark. Result cardinalities are accumulated into a
+    * Runs `WarmupRounds` untimed passes (JIT). Each sample is then the best
+    * of `Rounds` timed passes' means, the standard way to strip scheduler
+    * noise from a microbenchmark. Result cardinalities are accumulated into a
     * blackhole so the JIT cannot elide the queries.
     */
-  def microsPerQuery(answer: String => BitVector, kmers: IndexedSeq[String]): Double = {
+  def microsPerQuery(answer: String => BitVector, kmers: IndexedSeq[String]): Quartiles = {
     require(kmers.nonEmpty, "empty workload")
     var blackhole = 0L
     def pass(): Long = {
@@ -35,12 +60,9 @@ object Timer {
       while (i < kmers.length) { blackhole += answer(kmers(i)).cardinality; i += 1 }
       System.nanoTime() - t0
     }
-    var r = 0
-    while (r < WarmupRounds) { pass(); r += 1 }
-    var best = Long.MaxValue
-    r = 0
-    while (r < Rounds) { best = math.min(best, pass()); r += 1 }
+    (1 to WarmupRounds).foreach(_ => pass())
+    val samples = Seq.fill(Samples)((1 to Rounds).map(_ => pass()).min / 1e3 / kmers.length)
     if (blackhole == Long.MinValue) Console.err.println("blackhole") // keep live
-    best / 1e3 / kmers.length
+    quartiles(samples)
   }
 }

@@ -28,9 +28,6 @@ final class BitVector(val numBits: Int, val words: Array[Long]) extends Serializ
   /** Set bit `i` to 1. */
   def set(i: Int): Unit = { check(i); words(i >>> 6) |= (1L << (i & 63)) }
 
-  /** Set bit `i` to 0. */
-  def clear(i: Int): Unit = { check(i); words(i >>> 6) &= ~(1L << (i & 63)) }
-
   /** Value of bit `i`. */
   def get(i: Int): Boolean = { check(i); (words(i >>> 6) & (1L << (i & 63))) != 0L }
 
@@ -56,9 +53,6 @@ final class BitVector(val numBits: Int, val words: Array[Long]) extends Serializ
       if (spare > 0) words(words.length - 1) = -1L >>> spare
     }
   }
-
-  /** Set every bit to 0. */
-  def clearAll(): Unit = Arrays.fill(words, 0L)
 
   /** Number of set bits. */
   def cardinality: Int = {

@@ -49,12 +49,6 @@ class BloomParamsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](BloomParams.bitsForFp(10, 3, 1.0))
   }
 
-  test("optimalEta is ln2 * m/n rounded, at least 1") {
-    assert(BloomParams.optimalEta(1000, 1000) == 1)
-    assert(BloomParams.optimalEta(10000, 1000) == 7)  // ln2*10 = 6.93
-    assert(BloomParams.optimalEta(1, 1000000) == 1)
-  }
-
   test("ramboNegativeFp is the D-fold product") {
     assert(math.abs(BloomParams.ramboNegativeFp(0.1, 3) - 0.001) < 1e-15)
     assert(BloomParams.ramboNegativeFp(0.5, 1) == 0.5)

@@ -108,9 +108,8 @@ class RamboSpec extends SparkSpec {
       val idx = new RamboIndex(n, w, d, 1, new BitMatrix(1, w * d))
       def random(p: Double) = BitVector.of(w * d, (0 until w * d).filter(_ => rnd.nextDouble() < p))
       val randoms = Seq(0.01, 0.05, 0.2, 0.5, 0.9).flatMap(p => Seq.fill(10)(random(p)))
-      val oneRepEmpty = (0 until d).map { r =>
-        val h = random(0.5); (r * w until (r + 1) * w).foreach(h.clear); h
-      }
+      val oneRepEmpty = (0 until d).map(r =>
+        BitVector.of(w * d, random(0.5).setBits.filterNot(_ / w == r)))
       val cases = Seq(BitVector.empty(w * d), BitVector.full(w * d)) ++ randoms ++ oneRepEmpty
       cases.foreach(h => assert(idx.resolve(h) == reference(idx, h), s"n=$n hits=${h.setBits.toSeq}"))
       assert(idx.resolve(BitVector.full(w * d)) == BitVector.full(n))

@@ -90,6 +90,24 @@ class SketchBuilderSpec extends SparkSpec {
     }
   }
 
+  test("a build leaves the session's sort-fallback threshold as it found it") {
+    val key = "spark.sql.objectHashAggregate.sortBased.fallbackThreshold"
+    val good = pairs(200, 3, 4L).toDF("file_id", "kmer")
+    val bad = Seq((0, "ACGTACGT"), (3, "ACGT")).toDF("file_id", "kmer")
+    def setting: Option[String] = spark.conf.getAll.get(key)
+    def restore(s: Option[String]): Unit = s.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    val before = setting
+    try {
+      Seq(None, Some("77")).foreach { s =>
+        restore(s)
+        SketchBuilder.buildSpark(good, identity(3), 3, 512, 3)
+        assert(setting == s, "after a build")
+        sparkRejects(SketchBuilder.buildSpark(bad, identity(3), 3, 512, 3))
+        assert(setting == s, "after a failed build")
+      }
+    } finally restore(before)
+  }
+
   test("built column equals a directly-built BloomFilter") {
     import repro.bloom.BloomFilter
     val keys = (0 until 400).map(i => Dna.randomKmer(31, 900L + i))

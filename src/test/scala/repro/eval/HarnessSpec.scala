@@ -1,5 +1,12 @@
 package repro.eval
 
+import java.nio.file.Files
+import java.util.Locale
+
+import scala.jdk.CollectionConverters._
+
+import com.fasterxml.jackson.databind.ObjectMapper
+
 import repro.SparkSpec
 import repro.core.Rambo
 import repro.genome.SynthGenomes.CorpusSpec
@@ -62,10 +69,45 @@ class HarnessSpec extends SparkSpec {
     assert(big.fpPct <= small.fpPct)
   }
 
-  test("formatTable renders every row plus a header") {
-    val rows = Seq(Harness.runBigsi(data, 4096, 3))
-    val table = Harness.formatTable("test", rows)
-    assert(table.linesIterator.size == rows.size + 2)
-    assert(table.contains("BIGSI") && table.contains("us/q_probe"))
+  test("Table text and JSON hold every row under its field names") {
+    import Experiments.{BuildRow, ScalingRow}
+    val tables = Seq(
+      Table("sweep", "a sweep", Seq(Harness.runBigsi(data, 4096, 3),
+        Harness.runRambo(data, w = 5, d = 3, m = 32768, eta = 3))),
+      Table("scaling", "a scaling", Seq(
+        ScalingRow(500, 38, 7472, 23371, 1.014, 4.473, 3.65, 0.125, 1.94, 0.0625, 3.65 / 1.94))),
+      Table("build", "a build", Seq(BuildRow(1, 14.26, 0.31, 1.0, 0.19),
+        BuildRow(2, 8.0, 0.2, 14.26 / 8.0, 0.338))))
+    val dir = Files.createTempDirectory("tables")
+    tables.foreach { t =>
+      val names = t.rows.head.productElementNames.toSeq
+      val lines = t.text.linesIterator.toSeq
+      assert(lines.head == s"== ${t.title} ==")
+      assert(lines(1).trim.split("\\s+").toSeq == names)
+      assert(lines.size == t.rows.size + 2)
+      t.rows.zip(lines.drop(2)).foreach { case (r, line) =>
+        assert(line.trim.split("\\s+").toSeq == r.productIterator.map {
+          case d: Double => String.format(Locale.ROOT, "%.4f", Double.box(d))
+          case v         => v.toString
+        }.toSeq)
+      }
+      val json = new ObjectMapper().readTree(t.json)
+      assert(json.get("id").asText == t.id && json.get("title").asText == t.title)
+      assert(json.get("rows").size == t.rows.size)
+      t.rows.zipWithIndex.foreach { case (r, i) =>
+        val o = json.get("rows").get(i)
+        assert(o.fieldNames.asScala.toSeq == names)
+        names.zip(r.productIterator.toSeq).foreach {
+          case (k, v: Int)    => assert(o.get(k).isInt && o.get(k).asInt == v, k)
+          case (k, v: Double) => assert(o.get(k).isDouble && o.get(k).asDouble == v, k)
+          case (k, v)         => assert(o.get(k).asText == v.toString, k)
+        }
+      }
+      t.write(dir)
+      assert(Files.readString(dir.resolve(s"${t.id}.txt")) == t.text)
+      assert(Files.readString(dir.resolve(s"${t.id}.json")) == t.json)
+    }
+    dir.toFile.listFiles.foreach(_.delete())
+    Files.delete(dir)
   }
 }

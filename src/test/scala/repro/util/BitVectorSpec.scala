@@ -19,12 +19,6 @@ class BitVectorSpec extends AnyFunSuite {
     assert(!v.get(1) && !v.get(62) && !v.get(65) && !v.get(128))
   }
 
-  test("clear unsets a bit") {
-    val v = new BitVector(70)
-    v.set(65); assert(v.get(65))
-    v.clear(65); assert(!v.get(65))
-  }
-
   test("set is idempotent") {
     val v = new BitVector(10)
     v.set(3); v.set(3)
@@ -35,7 +29,6 @@ class BitVectorSpec extends AnyFunSuite {
     val v = new BitVector(64)
     intercept[IndexOutOfBoundsException](v.get(64))
     intercept[IndexOutOfBoundsException](v.set(-1))
-    intercept[IndexOutOfBoundsException](v.clear(1000))
   }
 
   test("wordsFor rounds up") {
@@ -86,12 +79,6 @@ class BitVectorSpec extends AnyFunSuite {
       assert(v.cardinality == n, s"n=$n")
       assert(v.setBits.toSeq == (0 until n))
     }
-  }
-
-  test("clearAll empties the vector") {
-    val v = BitVector.full(100)
-    v.clearAll()
-    assert(v.cardinality == 0)
   }
 
   test("fillRatio of full, empty and half vectors") {
