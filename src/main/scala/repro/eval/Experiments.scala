@@ -61,7 +61,7 @@ object Experiments {
     * Broadcast joins are off, so joins exercise the shuffle path.
     */
   def session(appName: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
       .config("spark.sql.shuffle.partitions", 64)
@@ -76,14 +76,16 @@ object Experiments {
     dataCache.getOrElseUpdate(spec, Harness.prepare(spark, spec, NPositive, NNegative))
   }
 
-  /** The full BIGSI+RAMBO sweep for one corpus: all η × all sizes. */
+  /** The full BIGSI+RAMBO sweep for one corpus: all η × all sizes, every
+    * point built and scored before any is timed.
+    */
   def sweep(spark: SparkSession, spec: CorpusSpec, w: Int): Seq[Harness.SweepPoint] = synchronized {
     sweepCache.getOrElseUpdate((spec, w), {
       val d = data(spark, spec)
-      Etas.flatMap { eta =>
+      Harness.time(Etas.flatMap { eta =>
         BigsiSizes.map(m => Harness.runBigsi(d, m, eta)) ++
           RamboSizes.map(m => Harness.runRambo(d, w, D, m, eta))
-      }
+      })
     })
   }
 
@@ -103,9 +105,10 @@ object Experiments {
   /** T5: query-time ratio vs. N at a matched ~1% FP target, η=4, D=3,
     * W = round(1.7·√N) — the same W(N) rule behind the paper's W=100@3480 and
     * W=84@2500 choices, which is what makes RAMBO's probe count sub-linear.
+    * Every N's pair of indexes is built and scored before any is timed.
     */
   def scalingTable(spark: SparkSession): Seq[ScalingRow] = {
-    ScalingNs.map { n =>
+    val built = ScalingNs.map { n =>
       val frac = n.toDouble / Corpus3480.nFiles
       val spec = Corpus3480.copy(
         nFiles = n,
@@ -121,9 +124,12 @@ object Experiments {
       val mBigsi = BloomParams.bitsForFp(math.ceil(nFile).toLong, ScalingEta, ScalingTargetFp).toInt
       val mRambo = BloomParams.bitsForFp(math.ceil(nCell).toLong, ScalingEta,
         math.pow(ScalingTargetFp, 1.0 / D)).toInt
-      val b = Harness.runBigsi(d, mBigsi, ScalingEta)
-      val r = Harness.runRambo(d, w, D, mRambo, ScalingEta)
-      ScalingRow(n, w, mBigsi, mRambo, b.fpPct, r.fpPct,
+      (n, w, Seq(Harness.runBigsi(d, mBigsi, ScalingEta), Harness.runRambo(d, w, D, mRambo, ScalingEta)))
+    }
+    val timed = Harness.time(built.flatMap(_._3))
+    built.indices.map { i =>
+      val ((n, w, _), b, r) = (built(i), timed(2 * i), timed(2 * i + 1))
+      ScalingRow(n, w, b.mBits, r.mBits, b.fpPct, r.fpPct,
         b.usProbe, b.usProbeIqr, r.usProbe, r.usProbeIqr, b.usProbe / r.usProbe)
     }
   }

@@ -8,8 +8,9 @@ import repro.genome.SynthGenomes
 import repro.genome.SynthGenomes.CorpusSpec
 
 /** Shared experiment driver for the reproduced tables (DESIGN.md §4): builds
-  * an index over a cached corpus, measures its empirical FP rate on a shared
-  * workload and times both query paths, giving one [[SweepPoint]] row.
+  * an index over a cached corpus and measures its empirical FP rate on a
+  * shared workload ([[Scored]]), then times both query paths of a table's
+  * points together, giving one [[SweepPoint]] row per point.
   * [[Experiments]] assembles these rows into T1–T5, so the `bench/` suites
   * and the `repro.jobs.Tables` main always run identical experiments.
   */
@@ -39,14 +40,13 @@ object Harness {
     def numFiles: Int = spec.nFiles
   }
 
-  /** Generate and cache a corpus; derive its workload, inverting only its k-mers' rows. */
+  /** Generate and cache a corpus; derive its workload from its k-mers' rows, picked by a filter. */
   def prepare(spark: SparkSession, spec: CorpusSpec,
               nPositive: Int, nNegative: Int): ExperimentData = {
     import spark.implicits._
     val df = SynthGenomes.corpus(spark, spec).cache()
     df.count() // materialise so build timings exclude generation
-    val wanted = Workload.candidates(spec, nPositive, nNegative).distinct.toDF("kmer")
-    val rows = df.join(wanted, Seq("kmer"), "left_semi").select("file_id", "kmer").as[(Int, String)]
+    val rows = df.where(col("kmer").isin(Workload.candidates(spec, nPositive, nNegative): _*)).as[(Int, String)]
     val truth = GroundTruth.fromLocal(rows.collect(), spec.nFiles)
     ExperimentData(spec, df, Workload.queries(spec, truth, nPositive, nNegative))
   }
@@ -67,26 +67,41 @@ object Harness {
       .distinct().count().toDouble / (w * d)
   }
 
-  /** Build + evaluate one BIGSI sweep point. */
-  def runBigsi(data: ExperimentData, m: Int, eta: Int): SweepPoint =
-    evaluate("BIGSI", data)(Bigsi.buildSpark(data.corpusDf, data.numFiles, m, eta))
+  /** An index built over `data` and scored, its timings still to be taken by [[time]]. */
+  final case class Scored(method: String, data: ExperimentData, index: MembershipIndex,
+                          fpPct: Double, buildSec: Double)
 
-  /** Build + evaluate one RAMBO sweep point. */
-  def runRambo(data: ExperimentData, w: Int, d: Int, m: Int, eta: Int): SweepPoint =
-    evaluate(s"RAMBO(W=$w,D=$d)", data)(
+  /** Build + score one BIGSI sweep point. */
+  def runBigsi(data: ExperimentData, m: Int, eta: Int): Scored =
+    score("BIGSI", data)(Bigsi.buildSpark(data.corpusDf, data.numFiles, m, eta))
+
+  /** Build + score one RAMBO sweep point. */
+  def runRambo(data: ExperimentData, w: Int, d: Int, m: Int, eta: Int): Scored =
+    score(s"RAMBO(W=$w,D=$d)", data)(
       Rambo.buildSpark(data.corpusDf, data.numFiles, w, d, m, eta))
 
-  /** Time `build`, then score the built index: FP rate (failing on any false
-    * negative), µs/query on both query paths (median and IQR), and index size.
-    */
-  private def evaluate(method: String, data: ExperimentData)(build: => MembershipIndex): SweepPoint = {
+  /** Time `build`, then score the built index's FP rate, failing on any false negative. */
+  private def score(method: String, data: ExperimentData)(build: => MembershipIndex): Scored = {
     val (index, buildSec) = Timer.timed(build)
     val ev = FprEval.evaluate(index.queryProbe, data.queries, data.numFiles)
     require(ev.falseNegatives == 0,
       s"$method produced ${ev.falseNegatives} false negatives — Bloom filters cannot miss")
-    val usProbe = Timer.microsPerQuery(index.queryProbe, data.kmers)
-    val usBits  = Timer.microsPerQuery(index.queryBitsliced, data.kmers)
-    SweepPoint(method, index.eta, index.m, ev.fpPercent, usProbe.median, usProbe.iqr,
-      usBits.median, usBits.iqr, index.indexBytes / 1024.0 / 1024.0, buildSec)
+    Scored(method, data, index, ev.fpPercent, buildSec)
+  }
+
+  /** The rows of `points`: µs/query on both query paths (median and IQR), with
+    * every path of every point timed in one round-robin [[Timer.microsPerQuery]],
+    * and the index size in MB (10⁶ bytes).
+    */
+  def time(points: Seq[Scored]): Seq[SweepPoint] = {
+    val us = Timer.microsPerQuery(points.flatMap { p =>
+      val kmers = p.data.kmers
+      Seq((p.index.queryProbe _, kmers), (p.index.queryBitsliced _, kmers))
+    })
+    points.indices.map { i =>
+      val (p, probe, bits) = (points(i), us(2 * i), us(2 * i + 1))
+      SweepPoint(p.method, p.index.eta, p.index.m, p.fpPct, probe.median, probe.iqr,
+        bits.median, bits.iqr, p.index.indexBytes / 1e6, p.buildSec)
+    }
   }
 }

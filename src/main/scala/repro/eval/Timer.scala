@@ -43,26 +43,31 @@ object Timer {
     Quartiles(at(0.25), at(0.5), at(0.75))
   }
 
-  /** Mean microseconds per query of `answer` over `kmers`, as quartiles over
-    * `Samples` independent samples.
+  /** Mean microseconds per query of each `(answer, kmers)` path, as quartiles
+    * over `Samples` independent samples.
     *
-    * Runs `WarmupRounds` untimed passes (JIT). Each sample is then the best
-    * of `Rounds` timed passes' means, the standard way to strip scheduler
-    * noise from a microbenchmark. Result cardinalities are accumulated into a
-    * blackhole so the JIT cannot elide the queries.
+    * Runs `WarmupRounds` untimed passes of every path (JIT). Each sample is
+    * then the best of `Rounds` timed passes' means, the standard way to strip
+    * scheduler noise from a microbenchmark. Samples are taken round-robin:
+    * sample s of every path before sample s+1 of any, so a slow period of a
+    * shared host spreads over all paths instead of moving one. Result
+    * cardinalities are accumulated into a blackhole so the JIT cannot elide
+    * the queries.
     */
-  def microsPerQuery(answer: String => BitVector, kmers: IndexedSeq[String]): Quartiles = {
-    require(kmers.nonEmpty, "empty workload")
+  def microsPerQuery(paths: Seq[(String => BitVector, IndexedSeq[String])]): Seq[Quartiles] = {
+    require(paths.forall(_._2.nonEmpty), "empty workload")
     var blackhole = 0L
-    def pass(): Long = {
+    def pass(p: Int): Long = {
+      val (answer, kmers) = paths(p)
       val t0 = System.nanoTime()
       var i = 0
       while (i < kmers.length) { blackhole += answer(kmers(i)).cardinality; i += 1 }
       System.nanoTime() - t0
     }
-    (1 to WarmupRounds).foreach(_ => pass())
-    val samples = Seq.fill(Samples)((1 to Rounds).map(_ => pass()).min / 1e3 / kmers.length)
+    for (_ <- 1 to WarmupRounds; p <- paths.indices) pass(p)
+    val samples = Seq.fill(Samples)(paths.indices.map(p =>
+      (1 to Rounds).map(_ => pass(p)).min / 1e3 / paths(p)._2.length))
     if (blackhole == Long.MinValue) Console.err.println("blackhole") // keep live
-    quartiles(samples)
+    paths.indices.map(p => quartiles(samples.map(_(p))))
   }
 }

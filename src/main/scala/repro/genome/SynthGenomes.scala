@@ -68,41 +68,42 @@ object SynthGenomes {
     if (r < 0) r + spec.nFiles else r
   }
 
-  /** The corpus as a distinct (file_id: Int, kmer: String) DataFrame.
-    *
-    * Generated pool-side: each pool k-mer explodes into its df(i) replicas,
-    * each replica hashed to a host file, duplicates (same k-mer landing on the
-    * same file twice) dropped. Fully Catalyst: range → explode → dedup.
+  /** The distinct files that hold pool k-mer `i`, in replica order: its `docFreq(i)`
+    * replicas' host files, repeats removed. The corpus's only dedup rule.
     */
-  def corpus(spark: SparkSession, spec: CorpusSpec): DataFrame = {
-    import spark.implicits._
-    val dfUdf   = udf((i: Long) => spec.docFreq(i.toInt))
-    val fileUdf = udf((i: Long, rep: Int) => hostFile(spec, i, rep))
-    val kmerUdf = udf((i: Long) => poolKmer(spec, i))
-    spark.range(spec.poolSize)
-      .select($"id" as "kmer_idx", explode(sequence(lit(0), dfUdf($"id") - 1)) as "rep")
-      .select($"kmer_idx", fileUdf($"kmer_idx", $"rep") as "file_id")
-      .dropDuplicates("kmer_idx", "file_id")
-      .select($"file_id".cast("int") as "file_id", kmerUdf($"kmer_idx") as "kmer")
+  def hostFiles(spec: CorpusSpec, i: Int): Array[Int] = {
+    val files = new Array[Int](spec.docFreq(i))
+    val seen = scala.collection.mutable.BitSet.empty
+    var n = 0
+    var rep = 0
+    while (rep < files.length) {
+      val f = hostFile(spec, i, rep)
+      if (seen.add(f)) { files(n) = f; n += 1 }
+      rep += 1
+    }
+    if (n == files.length) files else java.util.Arrays.copyOf(files, n)
   }
 
-  /** Driver-side reference generation of the same corpus (tests compare the
-    * Spark DataFrame against this bit-for-bit).
+  /** The corpus as a distinct (file_id: Int, kmer: String) DataFrame, generated
+    * with no shuffle: range over the pool → the k-mer string once per pool
+    * k-mer → explode its [[hostFiles]].
+    */
+  def corpus(spark: SparkSession, spec: CorpusSpec): DataFrame = {
+    val kmerUdf  = udf((i: Long) => poolKmer(spec, i))
+    val filesUdf = udf((i: Long) => hostFiles(spec, i.toInt))
+    spark.range(spec.poolSize)
+      .select(col("id"), kmerUdf(col("id")) as "kmer")
+      .select(explode(filesUdf(col("id"))) as "file_id", col("kmer"))
+  }
+
+  /** Driver-side reference generation of the same corpus, in pool order
+    * (tests compare the Spark DataFrame against this bit-for-bit).
     */
   def corpusLocal(spec: CorpusSpec): Seq[(Int, String)] = {
     val out = Vector.newBuilder[(Int, String)]
-    var i = 0
-    while (i < spec.poolSize) {
-      val df = spec.docFreq(i)
+    (0 until spec.poolSize).foreach { i =>
       val kmer = poolKmer(spec, i)
-      val seen = scala.collection.mutable.BitSet.empty
-      var rep = 0
-      while (rep < df) {
-        val f = hostFile(spec, i, rep)
-        if (seen.add(f)) out += ((f, kmer))
-        rep += 1
-      }
-      i += 1
+      hostFiles(spec, i).foreach(f => out += ((f, kmer)))
     }
     out.result()
   }

@@ -49,15 +49,15 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("runBigsi produces a sane sweep point") {
-    val p = Harness.runBigsi(data, m = 8192, eta = 3)
+    val p = Harness.time(Seq(Harness.runBigsi(data, m = 8192, eta = 3))).head
     assert(p.method == "BIGSI" && p.eta == 3 && p.mBits == 8192)
     assert(p.fpPct >= 0.0 && p.fpPct <= 100.0)
     assert(p.usProbe > 0 && p.usBitsliced > 0 && p.buildSec > 0)
-    assert(math.abs(p.indexMB - 8192.0 * 50 / 8 / 1024 / 1024) < 1e-9)
+    assert(math.abs(p.indexMB - 8192.0 * 50 / 8 / 1e6) < 1e-9)
   }
 
   test("runRambo produces a sane sweep point") {
-    val p = Harness.runRambo(data, w = 5, d = 3, m = 32768, eta = 3)
+    val p = Harness.time(Seq(Harness.runRambo(data, w = 5, d = 3, m = 32768, eta = 3))).head
     assert(p.method == "RAMBO(W=5,D=3)")
     assert(p.fpPct >= 0.0 && p.fpPct <= 100.0)
     assert(p.usProbe > 0 && p.usBitsliced > 0)
@@ -72,8 +72,8 @@ class HarnessSpec extends SparkSpec {
   test("Table text and JSON hold every row under its field names") {
     import Experiments.{BuildRow, ScalingRow}
     val tables = Seq(
-      Table("sweep", "a sweep", Seq(Harness.runBigsi(data, 4096, 3),
-        Harness.runRambo(data, w = 5, d = 3, m = 32768, eta = 3))),
+      Table("sweep", "a sweep", Harness.time(Seq(Harness.runBigsi(data, 4096, 3),
+        Harness.runRambo(data, w = 5, d = 3, m = 32768, eta = 3)))),
       Table("scaling", "a scaling", Seq(
         ScalingRow(500, 38, 7472, 23371, 1.014, 4.473, 3.65, 0.125, 1.94, 0.0625, 3.65 / 1.94))),
       Table("build", "a build", Seq(BuildRow(1, 14.26, 0.31, 1.0, 0.19),

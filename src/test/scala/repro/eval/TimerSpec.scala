@@ -15,9 +15,16 @@ class TimerSpec extends AnyFunSuite {
   }
 
   test("microsPerQuery runs warm-up plus samples of best-of-rounds passes") {
-    var calls = 0
-    val q = Timer.microsPerQuery({ _ => calls += 1; BitVector.empty(8) }, IndexedSeq("A", "C"))
-    assert(calls == 2 * (Timer.WarmupRounds + Timer.Samples * Timer.Rounds))
-    assert(q.q1 <= q.median && q.median <= q.q3 && q.median > 0)
+    val calls = Seq.newBuilder[String]
+    def path(name: String) = ({ (_: String) => calls += name; BitVector.empty(8) }, IndexedSeq("A", "C"))
+    val qs = Timer.microsPerQuery(Seq(path("a"), path("b"), path("c")))
+    // warm-up of every path, then sample s of every path before sample s+1 of any
+    def passes(name: String, n: Int) = Seq.fill(n * 2)(name)
+    val round = Seq("a", "b", "c").flatMap(passes(_, Timer.Rounds))
+    assert(calls.result() == Seq("a", "b", "c").flatMap(passes(_, Timer.WarmupRounds)) ++
+      Seq.fill(Timer.Samples)(round).flatten)
+    assert(qs.size == 3)
+    qs.foreach(q => assert(q.q1 <= q.median && q.median <= q.q3 && q.median > 0))
+    intercept[IllegalArgumentException](Timer.microsPerQuery(Seq((_ => BitVector.empty(8), IndexedSeq.empty))))
   }
 }

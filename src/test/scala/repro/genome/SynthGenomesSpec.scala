@@ -1,5 +1,9 @@
 package repro.genome
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
+import org.apache.spark.sql.execution.exchange.Exchange
+
 import repro.SparkSpec
 import repro.genome.SynthGenomes.CorpusSpec
 
@@ -40,6 +44,27 @@ class SynthGenomesSpec extends SparkSpec {
         assert(f >= 0 && f < spec.nFiles)
       }
     }
+    // hostFiles: distinct files in [0, nFiles), at most docFreq(i) of them,
+    // the first occurrences of the replicas' host files in replica order
+    (0 until spec.poolSize).foreach { i =>
+      val fs = SynthGenomes.hostFiles(spec, i).toSeq
+      assert(fs.distinct == fs && fs.forall(f => f >= 0 && f < spec.nFiles))
+      assert(fs.nonEmpty && fs.size <= spec.docFreq(i))
+      assert(fs == (0 until spec.docFreq(i)).map(SynthGenomes.hostFile(spec, i, _)).distinct)
+    }
+    assert(SynthGenomes.corpusLocal(spec) == (0 until spec.poolSize).flatMap(i =>
+      SynthGenomes.hostFiles(spec, i).toSeq.map((_, SynthGenomes.poolKmer(spec, i)))))
+  }
+
+  test("corpus plan holds no aggregate and no shuffle exchange") {
+    val df = SynthGenomes.corpus(spark, spec)
+    df.collect() // adaptive execution fixes the final plan, exchanges included, as it runs
+    val plan = df.queryExecution.executedPlan
+    val found = new AdaptiveSparkPlanHelper {}.collect(plan) {
+      case a: BaseAggregateExec => a
+      case e: Exchange          => e
+    }
+    assert(found.isEmpty, plan.treeString)
   }
 
   test("corpus DataFrame equals the local reference generation") {
