@@ -17,7 +17,8 @@ import repro.util.BitVector
 final class BitMatrix(val numRows: Int, val numCols: Int) extends Serializable {
   require(numRows > 0 && numCols > 0, s"bad matrix shape ${numRows}x$numCols")
 
-  private val wordsPerRow = BitVector.wordsFor(numCols)
+  /** Row stride in 64-bit words; a row's bits past `numCols` stay zero. */
+  val wordsPerRow: Int = BitVector.wordsFor(numCols)
   require(numRows.toLong * wordsPerRow <= Int.MaxValue,
     s"matrix ${numRows}x$numCols exceeds a single array; shard columns instead")
   /** rows(r) holds bits [r*wordsPerRow, (r+1)*wordsPerRow) — flat for locality. */
@@ -33,6 +34,15 @@ final class BitMatrix(val numRows: Int, val numCols: Int) extends Serializable {
   def get(row: Int, col: Int): Boolean = {
     checkRow(row); checkCol(col)
     (rows(row * wordsPerRow + (col >>> 6)) & (1L << (col & 63))) != 0L
+  }
+
+  /** Copy row-major `words` (`wordsPerRow` per row) into place from row
+    * `firstRow` on, dropping any words past the last row.
+    */
+  def copyRows(firstRow: Int, words: Array[Long]): Unit = {
+    checkRow(firstRow)
+    val start = firstRow * wordsPerRow
+    System.arraycopy(words, 0, rows, start, math.min(words.length, rows.length - start))
   }
 
   @inline private def checkRow(r: Int): Unit =
@@ -121,24 +131,4 @@ final class BitMatrix(val numRows: Int, val numCols: Int) extends Serializable {
 
   /** Storage footprint in bytes. */
   def sizeBytes: Long = rows.length.toLong * 8
-}
-
-object BitMatrix {
-  /** Transpose per-column bit vectors (each `numRows` bits) into the row-major
-    * bitslice layout. Cost is proportional to the number of set bits.
-    */
-  def fromColumns(numRows: Int, columns: Array[BitVector]): BitMatrix = {
-    require(columns.nonEmpty, "need at least one column")
-    columns.foreach(c => require(c.numBits == numRows,
-      s"column has ${c.numBits} bits, expected $numRows"))
-    val m = new BitMatrix(numRows, columns.length)
-    var c = 0
-    while (c < columns.length) {
-      val bits = columns(c).setBits
-      var i = 0
-      while (i < bits.length) { m.set(bits(i), c); i += 1 }
-      c += 1
-    }
-    m
-  }
 }

@@ -8,17 +8,17 @@ import repro.util.BitVector
 /** Typed Spark aggregator that ORs Bloom bit positions into an m-bit set.
   *
   * This is the distributed construction kernel (DESIGN.md S9): each (file,
-  * kmer) pair becomes its (column, position) entries, grouped by column, and
-  * this aggregator folds each group into the column's Bloom bit array.
+  * kmer) pair becomes its (band, bit) entries, grouped by row band of the
+  * index's matrix, and this aggregator folds each group into the band's bits.
   * Catalyst aggregates map-side first, so each partition builds partial
-  * filters and the shuffle only moves m-bit buffers — the paper's
+  * bands and the shuffle only moves finished buffers — the paper's
   * "embarrassingly parallel" build (partial filters merge by bitwise OR).
   *
   * This class alone knows the buffer's byte layout: bit `i` lives in byte
-  * `i/8`, bit `i%8` (Encoders.BINARY: a plain byte array). [[decode]] turns
-  * an output buffer back into a [[repro.util.BitVector]].
+  * `i/8`, bit `i%8` (Encoders.BINARY), i.e. little-endian 64-bit words.
+  * [[decode]] turns an output buffer back into a [[repro.util.BitVector]].
   *
-  * @param mBits Bloom filter size in bits (uniform across the index's columns)
+  * @param mBits buffer size in bits (one band of the index's rows)
   */
 final class BitsetAggregator(mBits: Int)
     extends Aggregator[Int, Array[Byte], Array[Byte]] {

@@ -3,28 +3,38 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.util.{BitVector, Hashing}
+import repro.util.Hashing
 
 /** Shared construction path for BIGSI and RAMBO: the (file_id, kmer) corpus
   * plus a `fileColumns` table whose row `f` lists the columns file `f` feeds
   * (BIGSI: the identity; RAMBO: the file's D cells). `fanOut` hashes a pair
   * once; its η positions are set in each of its file's columns. The Spark
-  * build is pure Catalyst:
+  * build is pure Catalyst, grouped by row band of the index's own matrix:
   *
   * {{{
-  *   (file_id, kmer) --udf entries--> [D·η packed (col, pos)] --explode-->
-  *   (col, pos) --groupBy(col).agg(BitsetAggregator(pos))--> (col, m-bit array)
+  *   (file_id, kmer) --udf entries--> [D·η packed (band, bit)] --explode-->
+  *   (band, bit) --groupBy(band).agg(BitsetAggregator(bit))--> (band, row words)
   * }}}
   *
-  * Hashing happens on executors (the distributed map over partitioned input),
-  * partial Bloom filters are OR-merged map-side, and only finished m-bit
-  * buffers reach the driver. The aggregator that wrote them decodes them
-  * ([[BitsetAggregator.decode]]), and the driver transposes the columns into
-  * the index's [[BitMatrix]].
+  * Band `b` is rows [b·rowsPerBand, (b+1)·rowsPerBand) of the [[BitMatrix]]
+  * in its own row-major words. Hashing happens on executors, partial Bloom
+  * filters are OR-merged map-side, and the driver copies each finished band's
+  * decoded words ([[BitsetAggregator.decode]]) into place.
   */
 object SketchBuilder {
 
-  private val FallbackThreshold = "spark.sql.objectHashAggregate.sortBased.fallbackThreshold"
+  // Row bands the Spark build groups by: fewer groups than Spark's default
+  // sort-fallback threshold (128), so no map task's aggregate falls back to a sort.
+  private val Bands = 64
+
+  /** Columns outside [0, numCols) are rejected on the driver, before any job:
+    * a band build would set a padding bit or a bit of the next row for them.
+    */
+  private def checkColumns(fileColumns: Array[Array[Int]], numCols: Int): Unit = {
+    require(numCols > 0, s"numCols must be > 0, got $numCols")
+    for ((cols, f) <- fileColumns.iterator.zipWithIndex; c <- cols)
+      require(c >= 0 && c < numCols, s"file $f feeds column $c, outside [0, $numCols)")
+  }
 
   /** One (file, kmer) pair's fan-out, hashed once: the columns file `fileId`
     * feeds and the k-mer's η positions, which are set in each of them.
@@ -40,37 +50,35 @@ object SketchBuilder {
     * `m`-bit Bloom filters using `eta` hash functions.
     *
     * @param corpus      DataFrame with columns `file_id: Int` and `kmer: String`
-    * @param fileColumns row `f` = the columns in [0, numCols) file `f` feeds;
-    *                    a file id outside its rows fails the job
+    * @param fileColumns row `f` = the columns in [0, numCols) file `f` feeds
+    *                    (checked first); a file id outside its rows fails the job
     * @return matrix whose column `c` holds the k-mers of the files feeding it
     */
   def buildSpark(corpus: DataFrame, fileColumns: Array[Array[Int]], numCols: Int,
                  m: Int, eta: Int): BitMatrix = {
-    require(numCols > 0, s"numCols must be > 0, got $numCols")
-    // Each pair's entries, packed `col << 32 | pos`.
+    checkColumns(fileColumns, numCols)
+    val out = new BitMatrix(m, numCols)
+    val rowsPerBand = (m + Bands - 1) / Bands
+    require(rowsPerBand.toLong * 64 * out.wordsPerRow <= Int.MaxValue,
+      s"band of $rowsPerBand rows x $numCols columns exceeds a single buffer; shard columns instead")
+    val rowBits = 64 * out.wordsPerRow
+    // Each pair's entries, packed `band << 32 | bit`.
     val entriesUdf = udf { (fileId: Int, kmer: String) =>
       val (cols, pos) = fanOut(fileColumns, fileId, kmer, m, eta)
-      Array.tabulate(cols.length * eta)(k => cols(k / eta).toLong << 32 | pos(k % eta))
+      Array.tabulate(cols.length * eta) { k =>
+        val p = pos(k % eta)
+        (p / rowsPerBand).toLong << 32 | ((p % rowsPerBand) * rowBits + cols(k / eta))
+      }
     }
-    val agg = new BitsetAggregator(m)
+    val agg = new BitsetAggregator(rowsPerBand * rowBits)
     val aggUdf = udaf(agg)
-    val grouped = corpus
+    corpus
       .select(explode(entriesUdf(col("file_id"), col("kmer"))) as "e")
-      .groupBy(shiftright(col("e"), 32).cast("int") as "col")
+      .groupBy(shiftright(col("e"), 32).cast("int") as "band")
       .agg(aggUdf(col("e").bitwiseAND(0xffffffffL).cast("int")) as "bits")
-    // A task's aggregate falls back to a sort once its map holds this many
-    // groups with input left; numCols + 1 keeps every task on the hash path.
-    // Spark reads the setting when collect() runs the job, so it wraps that call.
-    val conf = corpus.sparkSession.conf
-    val previous = conf.getAll.get(FallbackThreshold)
-    conf.set(FallbackThreshold, numCols + 1L)
-    val rows =
-      try grouped.collect()
-      finally previous.fold(conf.unset(FallbackThreshold))(conf.set(FallbackThreshold, _))
-
-    val out = Array.fill(numCols)(BitVector.empty(m))
-    rows.foreach(r => out(r.getInt(0)) = agg.decode(r.getAs[Array[Byte]](1)))
-    BitMatrix.fromColumns(m, out)
+      .collect()
+      .foreach(r => out.copyRows(r.getInt(0) * rowsPerBand, agg.decode(r.getAs[Array[Byte]](1)).words))
+    out
   }
 
   /** Single-threaded reference build of the same matrix, set bit by bit;
@@ -78,6 +86,7 @@ object SketchBuilder {
     */
   def buildLocal(corpus: Iterable[(Int, String)], fileColumns: Array[Array[Int]],
                  numCols: Int, m: Int, eta: Int): BitMatrix = {
+    checkColumns(fileColumns, numCols)
     val out = new BitMatrix(m, numCols)
     corpus.foreach { case (f, kmer) =>
       val (cols, pos) = fanOut(fileColumns, f, kmer, m, eta)

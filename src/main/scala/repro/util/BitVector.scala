@@ -7,7 +7,7 @@ import java.util.Arrays
   * This is the bit-set primitive shared across the repo: reference Bloom
   * filter bit arrays ([[repro.bloom.BloomFilter]]), columns copied out of and
   * row-ANDs read from an index's [[repro.core.BitMatrix]], RAMBO's cell member
-  * sets, query result vectors and the columns a Spark build decodes from
+  * sets, query result vectors and the row bands a Spark build decodes from
   * [[repro.core.BitsetAggregator]]'s buffers (that byte layout lives there,
   * not here). It is deliberately minimal — no growth, no boxing — because the
   * benchmarked query paths are tight loops over these words.

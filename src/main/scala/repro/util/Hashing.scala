@@ -21,16 +21,29 @@ import java.nio.charset.StandardCharsets
   */
 object Hashing {
 
+  private final val M = 0xc6a4a7935bd1e995L
+  private final val R = 47
+
+  /** MurmurHash64A's step for one 8-byte block `k` (little-endian). */
+  @inline private def mixBlock(h: Long, k: Long): Long = {
+    var x = k * M; x ^= x >>> R; x *= M
+    (h ^ x) * M
+  }
+
+  /** MurmurHash64A's finaliser. */
+  @inline private def finalMix(h: Long): Long = {
+    val x = (h ^ (h >>> R)) * M
+    x ^ (x >>> R)
+  }
+
   /** MurmurHash64A over `data` with `seed`. */
   def murmur64(data: Array[Byte], seed: Long): Long = {
-    val m = 0xc6a4a7935bd1e995L
-    val r = 47
-    var h = seed ^ (data.length * m)
+    var h = seed ^ (data.length * M)
     val nBlocks = data.length >>> 3
     var i = 0
     while (i < nBlocks) {
       val base = i << 3
-      var k =
+      h = mixBlock(h,
         (data(base) & 0xffL) |
         ((data(base + 1) & 0xffL) << 8) |
         ((data(base + 2) & 0xffL) << 16) |
@@ -38,9 +51,7 @@ object Hashing {
         ((data(base + 4) & 0xffL) << 32) |
         ((data(base + 5) & 0xffL) << 40) |
         ((data(base + 6) & 0xffL) << 48) |
-        ((data(base + 7) & 0xffL) << 56)
-      k *= m; k ^= k >>> r; k *= m
-      h ^= k; h *= m
+        ((data(base + 7) & 0xffL) << 56))
       i += 1
     }
     val tail = nBlocks << 3
@@ -51,22 +62,16 @@ object Hashing {
     if (rem >= 4) h ^= (data(tail + 3) & 0xffL) << 24
     if (rem >= 3) h ^= (data(tail + 2) & 0xffL) << 16
     if (rem >= 2) h ^= (data(tail + 1) & 0xffL) << 8
-    if (rem >= 1) { h ^= data(tail) & 0xffL; h *= m }
-    h ^= h >>> r; h *= m; h ^= h >>> r
-    h
+    if (rem >= 1) { h ^= data(tail) & 0xffL; h *= M }
+    finalMix(h)
   }
 
   /** MurmurHash64A over a string's UTF-8 bytes. */
   def murmur64(s: String, seed: Long): Long =
     murmur64(s.getBytes(StandardCharsets.UTF_8), seed)
 
-  /** MurmurHash64A over a single long (little-endian bytes). */
-  def murmur64(x: Long, seed: Long): Long = {
-    val b = new Array[Byte](8)
-    var i = 0
-    while (i < 8) { b(i) = ((x >>> (8 * i)) & 0xff).toByte; i += 1 }
-    murmur64(b, seed)
-  }
+  /** MurmurHash64A over a long's 8 little-endian bytes, hashed as one block. */
+  def murmur64(x: Long, seed: Long): Long = finalMix(mixBlock(seed ^ (8 * M), x))
 
   /** Seeds for the two base draws of the double-hashing scheme. */
   private val Seed1 = 0x9e3779b97f4a7c15L

@@ -54,31 +54,13 @@ class BitMatrixSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new BitMatrix(2, 2).rowAnd(Array.empty[Int]))
   }
 
-  test("fromColumns transposes column bitsets") {
-    val cols = Array(
-      BitVector.of(5, Seq(0, 3)),
-      BitVector.of(5, Seq(3, 4)))
-    val m = BitMatrix.fromColumns(5, cols)
-    assert(m.get(0, 0) && !m.get(0, 1))
-    assert(m.get(3, 0) && m.get(3, 1))
-    assert(!m.get(4, 0) && m.get(4, 1))
-    cols.indices.foreach(c => assert(m.column(c) == cols(c)))
-    intercept[IndexOutOfBoundsException](m.column(2))
-  }
-
-  test("fromColumns validates column sizes") {
-    intercept[IllegalArgumentException](
-      BitMatrix.fromColumns(5, Array(BitVector.empty(4))))
-    intercept[IllegalArgumentException](
-      BitMatrix.fromColumns(5, Array.empty[BitVector]))
-  }
-
   test("bitslice query equals per-column probe on random data") {
     val r = new Random(7)
     val numRows = 64; val numCols = 150
     val cols = Array.fill(numCols)(BitVector.empty(numRows))
     cols.foreach(c => (0 until 20).foreach(_ => c.set(r.nextInt(numRows))))
-    val m = BitMatrix.fromColumns(numRows, cols)
+    val m = new BitMatrix(numRows, numCols)
+    for (c <- cols.indices; row <- cols(c).setBits) m.set(row, c)
     (0 until 50).foreach { _ =>
       val probe = Array.fill(3)(r.nextInt(numRows))
       val viaMatrix = m.rowAnd(probe).setBits.toSet
@@ -142,6 +124,18 @@ class BitMatrixSpec extends AnyFunSuite {
         (0 until numRows).foreach(row => assert(col.get(row) == m.get(row, c), s"($row, $c)"))
       }
     }
+  }
+
+  test("copyRows places row-major words from a row on and drops words past the last row") {
+    val m = new BitMatrix(3, 70)
+    assert(m.wordsPerRow == 2)
+    // Rows 1 and 2 of the matrix, then a row past its end.
+    m.copyRows(1, Array(1L, 1L << 5, 1L << 63, 0L, -1L, -1L))
+    assert(m.rowAnd(Array(0)).cardinality == 0)
+    assert(m.rowAnd(Array(1)).setBits.toSeq == Seq(0, 69))
+    assert(m.rowAnd(Array(2)).setBits.toSeq == Seq(63))
+    intercept[IndexOutOfBoundsException](m.copyRows(3, Array(0L)))
+    intercept[IndexOutOfBoundsException](m.copyRows(-1, Array(0L)))
   }
 
   test("sizeBytes matches the flat layout") {

@@ -1,6 +1,12 @@
 package repro.core
 
 import org.apache.spark.SparkException
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+import org.apache.spark.sql.execution.aggregate.ObjectHashAggregateExec
+import org.apache.spark.sql.util.QueryExecutionListener
+
+import scala.jdk.CollectionConverters._
 
 import repro.SparkSpec
 import repro.genome.Dna
@@ -23,24 +29,26 @@ class SketchBuilderSpec extends SparkSpec {
     ("identity", identity(files), files),
     ("RAMBO W=3 D=3", Rambo.fileCells(files, 3, 3), 9))
 
+  // Bloom sizes that fill all 64 row bands (4096, 2048), leave the last band
+  // partial (1000) or leave bands empty (50 < 64 rows).
   test("Spark build is bit-identical to the local reference build") {
     val data = pairs(2000, 7, 1L)
     val df = data.toDF("file_id", "kmer")
-    tables(7).foreach { case (name, table, numCols) =>
-      val viaSpark = SketchBuilder.buildSpark(df, table, numCols, 4096, 3)
-      val viaLocal = SketchBuilder.buildLocal(data, table, numCols, 4096, 3)
+    for ((name, table, numCols) <- tables(7); m <- Seq(4096, 1000, 50)) {
+      val viaSpark = SketchBuilder.buildSpark(df, table, numCols, m, 3)
+      val viaLocal = SketchBuilder.buildLocal(data, table, numCols, m, 3)
       (0 until numCols).foreach(c =>
-        assert(viaSpark.column(c) == viaLocal.column(c), s"$name: column $c differs"))
+        assert(viaSpark.column(c) == viaLocal.column(c), s"$name m=$m: column $c differs"))
     }
   }
 
   test("build is invariant to input partitioning") {
     val data = pairs(1500, 5, 2L)
     val df = data.toDF("file_id", "kmer")
-    tables(5).foreach { case (name, table, numCols) =>
-      val p1 = SketchBuilder.buildSpark(df.repartition(1), table, numCols, 2048, 4)
-      val p8 = SketchBuilder.buildSpark(df.repartition(8), table, numCols, 2048, 4)
-      (0 until numCols).foreach(c => assert(p1.column(c) == p8.column(c), s"$name: column $c"))
+    for ((name, table, numCols) <- tables(5); m <- Seq(2048, 1000, 50)) {
+      val p1 = SketchBuilder.buildSpark(df.repartition(1), table, numCols, m, 4)
+      val p8 = SketchBuilder.buildSpark(df.repartition(8), table, numCols, m, 4)
+      (0 until numCols).foreach(c => assert(p1.column(c) == p8.column(c), s"$name m=$m: column $c"))
     }
   }
 
@@ -88,24 +96,60 @@ class SketchBuilderSpec extends SparkSpec {
       sparkRejects(Rambo.buildSpark(badDf, n, 2, 3, 64, 2))
       sparkRejects(Bigsi.buildSpark(badDf, n, 64, 2))
     }
+    // A table column outside [0, numCols) is rejected on the driver, before any job.
+    val one = Seq((0, "ACGT"))
+    Seq(Array(Array(3)), Array(Array(-1))).foreach { table =>
+      intercept[IllegalArgumentException](SketchBuilder.buildLocal(one, table, 3, 64, 2))
+      intercept[IllegalArgumentException](
+        SketchBuilder.buildSpark(one.toDF("file_id", "kmer"), table, 3, 64, 2))
+    }
   }
 
-  test("a build leaves the session's sort-fallback threshold as it found it") {
-    val key = "spark.sql.objectHashAggregate.sortBased.fallbackThreshold"
-    val good = pairs(200, 3, 4L).toDF("file_id", "kmer")
-    val bad = Seq((0, "ACGTACGT"), (3, "ACGT")).toDF("file_id", "kmer")
-    def setting: Option[String] = spark.conf.getAll.get(key)
-    def restore(s: Option[String]): Unit = s.fold(spark.conf.unset(key))(spark.conf.set(key, _))
-    val before = setting
-    try {
-      Seq(None, Some("77")).foreach { s =>
-        restore(s)
-        SketchBuilder.buildSpark(good, identity(3), 3, 512, 3)
-        assert(setting == s, "after a build")
-        sparkRejects(SketchBuilder.buildSpark(bad, identity(3), 3, 512, 3))
-        assert(setting == s, "after a failed build")
+  /** Every `ObjectHashAggregateExec` the queries of `run` execute, walking
+    * into AQE's final plan and its query stages (the partial aggregate lives
+    * in a shuffle stage): (aggregates seen, `numTasksFallBacked` summed).
+    */
+  private def aggregateFallbacks(run: => Any): (Int, Long) = {
+    def nodes(p: SparkPlan): Seq[SparkPlan] = p match {
+      case a: AdaptiveSparkPlanExec => nodes(a.finalPhysicalPlan)
+      case q: QueryStageExec => nodes(q.plan)
+      case _ => p +: p.children.flatMap(nodes)
+    }
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[(Int, Long)]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = {
+        val aggs = nodes(qe.executedPlan).collect { case a: ObjectHashAggregateExec => a }
+        if (aggs.nonEmpty) seen.add((aggs.length, aggs.map(_.metrics("numTasksFallBacked").value).sum))
       }
-    } finally restore(before)
+      override def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      run
+      // The listener bus delivers asynchronously.
+      val deadline = System.nanoTime() + 30L * 1000 * 1000 * 1000
+      while (seen.isEmpty && System.nanoTime() < deadline) Thread.sleep(10)
+    } finally spark.listenerManager.unregister(listener)
+    seen.asScala.foldLeft((0, 0L)) { case ((n, s), (a, f)) => (n + a, s + f) }
+  }
+
+  test("no map task falls back to sort-based aggregation, past 128 columns") {
+    val files = 200
+    val df = pairs(3000, files, 4L).toDF("file_id", "kmer")
+    val builds = Seq[(String, () => Any)](
+      "RAMBO W=50 D=3" -> (() => Rambo.buildSpark(df, files, 50, 3, 4096, 3)),
+      s"BIGSI N=$files" -> (() => Bigsi.buildSpark(df, files, 4096, 3)))
+    builds.foreach { case (name, build) =>
+      val (aggs, fallbacks) = aggregateFallbacks(build())
+      assert(aggs > 0, s"$name: no aggregate seen")
+      assert(fallbacks == 0, s"$name: $fallbacks map tasks fell back")
+    }
+    // The probe does see fallbacks: under a session threshold of 10 groups.
+    val key = "spark.sql.objectHashAggregate.sortBased.fallbackThreshold"
+    val before = spark.conf.getOption(key)
+    spark.conf.set(key, 10L)
+    try assert(aggregateFallbacks(builds.head._2())._2 > 0, "threshold 10: no fallback seen")
+    finally before.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 
   test("built column equals a directly-built BloomFilter") {

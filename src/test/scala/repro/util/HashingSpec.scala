@@ -30,6 +30,14 @@ class HashingSpec extends AnyFunSuite {
     val s = "AACCGGTT"
     assert(Hashing.murmur64(s, 5L) ==
       Hashing.murmur64(s.getBytes("UTF-8"), 5L))
+    // A long hashes as its 8 little-endian bytes.
+    val r = new Random(11)
+    val longs = Seq(0L, 1L, -1L, Long.MinValue, Long.MaxValue) ++ Seq.fill(500)(r.nextLong())
+    longs.foreach { x =>
+      val seed = r.nextLong()
+      val bytes = Array.tabulate[Byte](8)(i => (x >>> (8 * i)).toByte)
+      assert(Hashing.murmur64(x, seed) == Hashing.murmur64(bytes, seed), s"x=$x seed=$seed")
+    }
   }
 
   test("murmur64 output is well distributed (chi-square-ish bucket check)") {
