@@ -22,8 +22,9 @@ trait BenchOutput { self: SparkSpec =>
       .sortBy(_.usProbe).headOption
 }
 
-/** T1 — paper Fig. 5 as a table: query time vs FP rate, 3480 files,
-  * BIGSI vs RAMBO(W=100, D=3), η ∈ {3,4}, Bloom-size sweep.
+/** T1 — paper Figs. 5 and 7 as one table: query time and index memory vs
+  * FP rate, 3480 files, BIGSI vs RAMBO(W=100, D=3), η ∈ {3,4}, Bloom-size
+  * sweep.
   */
 class BenchTable1QueryTime3480 extends SparkSpec with BenchOutput {
   test("T1: query time vs FP rate on 3480 files") {
@@ -36,11 +37,16 @@ class BenchTable1QueryTime3480 extends SparkSpec with BenchOutput {
       assert(r.get.usProbe < b.get.usProbe,
         s"RAMBO (${r.get.usProbe}us) not faster than BIGSI (${b.get.usProbe}us) at <=$fpCut% FP")
     }
+    // Memory is monotone in m within a method/eta — sanity of the sweep.
+    for (method <- Seq("BIGSI", "RAMBO"); eta <- Experiments.Etas) {
+      val pts = rows.filter(p => p.method.startsWith(method) && p.eta == eta).sortBy(_.mBits)
+      assert(pts.map(_.indexMB) == pts.map(_.indexMB).sorted, s"$method eta=$eta")
+    }
   }
 }
 
-/** T2 — paper Fig. 6 as a table: query time vs FP rate, 2500 files,
-  * BIGSI vs RAMBO(W=84, D=3).
+/** T2 — paper Figs. 6 and 8 as one table: query time and index memory vs
+  * FP rate, 2500 files, BIGSI vs RAMBO(W=84, D=3).
   */
 class BenchTable2QueryTime2500 extends SparkSpec with BenchOutput {
   test("T2: query time vs FP rate on 2500 files") {
@@ -50,27 +56,6 @@ class BenchTable2QueryTime2500 extends SparkSpec with BenchOutput {
     assert(b.nonEmpty && r.nonEmpty)
     assert(r.get.usProbe < b.get.usProbe,
       s"RAMBO (${r.get.usProbe}us) not faster than BIGSI (${b.get.usProbe}us) at <=2% FP")
-  }
-}
-
-/** T3 — paper Fig. 7 as a table: index memory vs FP rate, 3480 files.
-  * Reuses T1's sweep (same builds; this is the memory view).
-  */
-class BenchTable3Memory3480 extends SparkSpec with BenchOutput {
-  test("T3: index memory vs FP rate on 3480 files") {
-    val rows = record(Experiments.t3(spark))
-    // Memory is monotone in m within a method/eta — sanity of the sweep.
-    for (method <- Seq("BIGSI", "RAMBO"); eta <- Experiments.Etas) {
-      val pts = rows.filter(p => p.method.startsWith(method) && p.eta == eta).sortBy(_.mBits)
-      assert(pts.map(_.indexMB) == pts.map(_.indexMB).sorted, s"$method eta=$eta")
-    }
-  }
-}
-
-/** T4 — paper Fig. 8 as a table: index memory vs FP rate, 2500 files. */
-class BenchTable4Memory2500 extends SparkSpec with BenchOutput {
-  test("T4: index memory vs FP rate on 2500 files") {
-    val rows = record(Experiments.t4(spark))
     // FP falls as memory grows for both methods (the tradeoff both figures plot).
     for (method <- Seq("BIGSI", "RAMBO"); eta <- Experiments.Etas) {
       val pts = rows.filter(p => p.method.startsWith(method) && p.eta == eta).sortBy(_.mBits)

@@ -48,9 +48,6 @@ abstract class MembershipIndex(
     */
   final def positions(kmer: String): Array[Int] = Hashing.bloomPositions(kmer, m, eta)
 
-  /** Columns whose filters pass the membership test at pre-hashed positions. */
-  final def hitColumns(pos: Array[Int]): BitVector = matrix.probe(pos)
-
   /** Map a hit-column vector to the N-bit vector of candidate files. */
   def resolve(hits: BitVector): BitVector
 
@@ -58,7 +55,7 @@ abstract class MembershipIndex(
   final def queryProbe(kmer: String): BitVector = queryProbePositions(positions(kmer))
 
   /** Probe-path query on pre-hashed positions. */
-  final def queryProbePositions(pos: Array[Int]): BitVector = resolve(hitColumns(pos))
+  final def queryProbePositions(pos: Array[Int]): BitVector = resolve(matrix.probe(pos))
 
   /** Bitsliced query: AND of the η selected rows, then the same resolve. */
   final def queryBitsliced(kmer: String): BitVector = resolve(matrix.rowAnd(positions(kmer)))

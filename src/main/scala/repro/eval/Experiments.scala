@@ -6,14 +6,15 @@ import repro.bloom.BloomParams
 import repro.core.Rambo
 import repro.genome.SynthGenomes.CorpusSpec
 
-/** Canonical definitions of the reproduced experiments T1–T6 (DESIGN.md §4).
+/** Canonical definitions of the reproduced experiments T1, T2, T5 and T6
+  * (DESIGN.md §4).
   *
   * Both the `bench/` suites and the `repro.jobs.Tables` main run these from
   * one registry ([[Tables]]), in a session built by [[session]], through one
   * [[Table]] writer, so a table is always regenerated from the same corpus,
   * geometry, sweep and Spark settings regardless of how it is launched.
-  * Results are cached per JVM so a bench run evaluating the query-time view
-  * (T1/T2) and the memory view (T3/T4) of the same sweep builds each index once.
+  * Each corpus sweep is one table whose rows hold both of the paper's views
+  * of it: query time vs FP (Figs. 5/6) and memory vs FP (Figs. 7/8).
   *
   * Scaling notes vs. the paper: N, W, D, η and k match the paper exactly
   * (3480/2500 files, W=100/84, D=3, η∈{3,4}, k=31). Per-file k-mer counts are
@@ -22,7 +23,7 @@ import repro.genome.SynthGenomes.CorpusSpec
   */
 object Experiments {
 
-  /** Corpus for the paper's 3480-file subset (Figs. 5/7 → T1/T3).
+  /** Corpus for the paper's 3480-file subset (Figs. 5/7 → T1).
     *
     * Pool sized so the Zipf tail bottoms out at document frequency ~2: most
     * 31-mers live in a handful of files (as in deduplicated genome archives)
@@ -32,7 +33,7 @@ object Experiments {
   val Corpus3480: CorpusSpec =
     CorpusSpec(nFiles = 3480, poolSize = 300000, totalPairs = 3000000L, alpha = 0.8, seed = 42L)
 
-  /** Corpus for the paper's 2500-file subset (Figs. 6/8 → T2/T4). */
+  /** Corpus for the paper's 2500-file subset (Figs. 6/8 → T2). */
   val Corpus2500: CorpusSpec =
     CorpusSpec(nFiles = 2500, poolSize = 216000, totalPairs = 2160000L, alpha = 0.8, seed = 43L)
 
@@ -69,7 +70,6 @@ object Experiments {
       .getOrCreate()
 
   private val dataCache = scala.collection.mutable.HashMap.empty[CorpusSpec, Harness.ExperimentData]
-  private val sweepCache = scala.collection.mutable.HashMap.empty[(CorpusSpec, Int), Seq[Harness.SweepPoint]]
 
   /** Prepared corpus (generated + cached once per JVM). */
   def data(spark: SparkSession, spec: CorpusSpec): Harness.ExperimentData = synchronized {
@@ -79,13 +79,11 @@ object Experiments {
   /** The full BIGSI+RAMBO sweep for one corpus: all η × all sizes, every
     * point built and scored before any is timed.
     */
-  def sweep(spark: SparkSession, spec: CorpusSpec, w: Int): Seq[Harness.SweepPoint] = synchronized {
-    sweepCache.getOrElseUpdate((spec, w), {
-      val d = data(spark, spec)
-      Harness.time(Etas.flatMap { eta =>
-        BigsiSizes.map(m => Harness.runBigsi(d, m, eta)) ++
-          RamboSizes.map(m => Harness.runRambo(d, w, D, m, eta))
-      })
+  def sweep(spark: SparkSession, spec: CorpusSpec, w: Int): Seq[Harness.SweepPoint] = {
+    val d = data(spark, spec)
+    Harness.time(Etas.flatMap { eta =>
+      BigsiSizes.map(m => Harness.runBigsi(d, m, eta)) ++
+        RamboSizes.map(m => Harness.runRambo(d, w, D, m, eta))
     })
   }
 
@@ -169,15 +167,13 @@ object Experiments {
     }
   }
 
-  /** T1–T6: each table's file id and title, with its rows computed in `s`. */
+  /** T1, T2, T5, T6: each table's file id and title, with its rows computed in `s`. */
   def t1(s: SparkSession) = Table("T1_query_time_3480",
-    "T1: Query time vs FP rate, 3480 files (paper Fig. 5)", sweep(s, Corpus3480, W3480))
+    "T1: Query time and memory vs FP rate, 3480 files (paper Figs. 5 and 7)",
+    sweep(s, Corpus3480, W3480))
   def t2(s: SparkSession) = Table("T2_query_time_2500",
-    "T2: Query time vs FP rate, 2500 files (paper Fig. 6)", sweep(s, Corpus2500, W2500))
-  def t3(s: SparkSession) = Table("T3_memory_3480",
-    "T3: Memory vs FP rate, 3480 files (paper Fig. 7)", sweep(s, Corpus3480, W3480))
-  def t4(s: SparkSession) = Table("T4_memory_2500",
-    "T4: Memory vs FP rate, 2500 files (paper Fig. 8)", sweep(s, Corpus2500, W2500))
+    "T2: Query time and memory vs FP rate, 2500 files (paper Figs. 6 and 8)",
+    sweep(s, Corpus2500, W2500))
   def t5(s: SparkSession) = Table("T5_scaling",
     "T5: query time scaling with N (matched ~1% FP, eta=4, D=3, W=1.7*sqrt(N))", scalingTable(s))
   def t6(s: SparkSession) = Table("T6_construction",
@@ -185,5 +181,5 @@ object Experiments {
 
   /** The registry, by table name. */
   val Tables: Map[String, SparkSession => Table[_ <: Product]] =
-    Map("T1" -> t1, "T2" -> t2, "T3" -> t3, "T4" -> t4, "T5" -> t5, "T6" -> t6)
+    Map("T1" -> t1, "T2" -> t2, "T5" -> t5, "T6" -> t6)
 }

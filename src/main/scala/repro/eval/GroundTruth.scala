@@ -18,9 +18,6 @@ final case class GroundTruth(numFiles: Int, byKmer: Map[String, BitVector]) {
 
   /** Whether `kmer` appears in any file. */
   def isPresent(kmer: String): Boolean = byKmer.contains(kmer)
-
-  /** Document frequency of `kmer`. */
-  def docFreq(kmer: String): Int = filesOf(kmer).cardinality
 }
 
 object GroundTruth {

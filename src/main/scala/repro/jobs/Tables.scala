@@ -3,7 +3,7 @@ package repro.jobs
 import repro.eval.Experiments
 
 /** spark-submit entrypoint for the reproduced tables (DESIGN.md §4): takes a
-  * table name `T1`–`T6` and prints that table's text to stdout.
+  * table name (`T1`, `T2`, `T5` or `T6`) and prints that table's text to stdout.
   *
   * The table comes from [[repro.eval.Experiments]]' registry and prints
   * through the same [[repro.eval.Table]] writer, in the same Spark session

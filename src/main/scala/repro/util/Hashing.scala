@@ -82,25 +82,22 @@ object Hashing {
     if (r < 0) r + m else r
   }
 
-  /** The η Bloom bit positions of `key` in a filter of `m` bits.
+  /** The η Bloom bit positions of `key` (its UTF-8 bytes) in a filter of `m` bits.
     *
     * Kirsch–Mitzenmacher: `pos_i = (h1 + i*h2) mod m` with `h2` forced odd so
     * the probe sequence cycles through residues even for power-of-two `m`.
     */
-  def bloomPositions(key: Array[Byte], m: Int, eta: Int): Array[Int] = {
+  def bloomPositions(key: String, m: Int, eta: Int): Array[Int] = {
     require(m > 0, s"m must be > 0, got $m")
     require(eta > 0, s"eta must be > 0, got $eta")
-    val h1 = murmur64(key, Seed1)
-    val h2 = murmur64(key, Seed2) | 1L
+    val bytes = key.getBytes(StandardCharsets.UTF_8)
+    val h1 = murmur64(bytes, Seed1)
+    val h2 = murmur64(bytes, Seed2) | 1L
     val out = new Array[Int](eta)
     var i = 0
     while (i < eta) { out(i) = floorMod(h1 + i * h2, m); i += 1 }
     out
   }
-
-  /** Bloom positions of a string key (UTF-8). */
-  def bloomPositions(key: String, m: Int, eta: Int): Array[Int] =
-    bloomPositions(key.getBytes(StandardCharsets.UTF_8), m, eta)
 
   /** RAMBO partition hash: group of `fileId` in repetition `rep`, in `[0, w)`.
     *

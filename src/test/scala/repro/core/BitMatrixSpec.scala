@@ -104,7 +104,7 @@ class BitMatrixSpec extends AnyFunSuite {
     val bigsi = new BigsiIndex(70, 2, m)
     val rambo = new RamboIndex(70, 35, 2, 2, m)
     for (bad <- Seq(-1, numRows); rowIds <- Seq(Array(bad, 0), Array(0, bad))) {
-      val readers = Seq[Array[Int] => Any](m.probe, m.rowAnd, bigsi.hitColumns, rambo.hitColumns,
+      val readers = Seq[Array[Int] => Any](m.probe, m.rowAnd, bigsi.queryProbePositions,
         rambo.queryProbePositions)
       readers.foreach { read =>
         val e = intercept[IndexOutOfBoundsException](read(rowIds))

@@ -150,7 +150,7 @@ class RamboSpec extends SparkSpec {
     var cellHits = 0L
     negs.foreach { k =>
       val pos = small.positions(k)
-      cellHits += small.hitColumns(pos).cardinality
+      cellHits += small.matrix.probe(pos).cardinality
     }
     val cellFp = cellHits.toDouble / (negs.size.toLong * W * D)
     var fileHits = 0L

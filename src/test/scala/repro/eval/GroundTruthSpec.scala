@@ -29,7 +29,7 @@ class GroundTruthSpec extends SparkSpec {
   test("docFreq matches corpus counts") {
     val gt = GroundTruth.fromLocal(local, spec.nFiles)
     val byKmer = local.groupBy(_._2).view.mapValues(_.size)
-    byKmer.take(100).foreach { case (k, n) => assert(gt.docFreq(k) == n) }
+    byKmer.take(100).foreach { case (k, n) => assert(gt.filesOf(k).cardinality == n) }
   }
 
   test("oracle: Spark ground-truth inversion matches DuckDB") {
