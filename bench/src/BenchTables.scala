@@ -3,11 +3,12 @@ package repro.bench
 import java.nio.file.Paths
 
 import repro.SparkSpec
-import repro.eval.{Experiments, Harness, Table}
+import repro.eval.{Experiments, Table, TableGates}
 
 /** Shared output plumbing for the bench suites: every table is printed to the
   * test log and written as `bench_results/<id>.txt` and `<id>.json` so
-  * EXPERIMENTS.md can be diffed against a fresh run.
+  * EXPERIMENTS.md can be diffed against a fresh run. Each suite then runs
+  * its table's gate from [[repro.eval.TableGates]] on the fresh rows.
   */
 trait BenchOutput { self: SparkSpec =>
   def record[R <: Product](table: Table[R]): Seq[R] = {
@@ -15,11 +16,6 @@ trait BenchOutput { self: SparkSpec =>
     table.write(Paths.get(sys.props.getOrElse("bench.out.dir", "bench_results")))
     table.rows
   }
-
-  /** Fastest probe-path point of `method` at FP below `fpPct`, if any. */
-  def fastestBelow(rows: Seq[Harness.SweepPoint], method: String, fpPct: Double): Option[Harness.SweepPoint] =
-    rows.filter(p => p.method.startsWith(method) && p.fpPct <= fpPct)
-      .sortBy(_.usProbe).headOption
 }
 
 /** T1 — paper Figs. 5 and 7 as one table: query time and index memory vs
@@ -28,20 +24,7 @@ trait BenchOutput { self: SparkSpec =>
   */
 class BenchTable1QueryTime3480 extends SparkSpec with BenchOutput {
   test("T1: query time vs FP rate on 3480 files") {
-    val rows = record(Experiments.t1(spark))
-    // Paper's headline claim at this N: RAMBO beats BIGSI at matched accuracy.
-    for (fpCut <- Seq(2.0, 10.0)) {
-      val b = fastestBelow(rows, "BIGSI", fpCut)
-      val r = fastestBelow(rows, "RAMBO", fpCut)
-      assert(b.nonEmpty && r.nonEmpty, s"no points under $fpCut% FP")
-      assert(r.get.usProbe < b.get.usProbe,
-        s"RAMBO (${r.get.usProbe}us) not faster than BIGSI (${b.get.usProbe}us) at <=$fpCut% FP")
-    }
-    // Memory is monotone in m within a method/eta — sanity of the sweep.
-    for (method <- Seq("BIGSI", "RAMBO"); eta <- Experiments.Etas) {
-      val pts = rows.filter(p => p.method.startsWith(method) && p.eta == eta).sortBy(_.mBits)
-      assert(pts.map(_.indexMB) == pts.map(_.indexMB).sorted, s"$method eta=$eta")
-    }
+    TableGates.t1(record(Experiments.t1(spark)))
   }
 }
 
@@ -50,17 +33,7 @@ class BenchTable1QueryTime3480 extends SparkSpec with BenchOutput {
   */
 class BenchTable2QueryTime2500 extends SparkSpec with BenchOutput {
   test("T2: query time vs FP rate on 2500 files") {
-    val rows = record(Experiments.t2(spark))
-    val b = fastestBelow(rows, "BIGSI", 2.0)
-    val r = fastestBelow(rows, "RAMBO", 2.0)
-    assert(b.nonEmpty && r.nonEmpty)
-    assert(r.get.usProbe < b.get.usProbe,
-      s"RAMBO (${r.get.usProbe}us) not faster than BIGSI (${b.get.usProbe}us) at <=2% FP")
-    // FP falls as memory grows for both methods (the tradeoff both figures plot).
-    for (method <- Seq("BIGSI", "RAMBO"); eta <- Experiments.Etas) {
-      val pts = rows.filter(p => p.method.startsWith(method) && p.eta == eta).sortBy(_.mBits)
-      assert(pts.head.fpPct + 1e-9 >= pts.last.fpPct, s"$method eta=$eta FP not shrinking")
-    }
+    TableGates.t2(record(Experiments.t2(spark)))
   }
 }
 
@@ -69,15 +42,7 @@ class BenchTable2QueryTime2500 extends SparkSpec with BenchOutput {
   */
 class BenchTable5Scaling extends SparkSpec with BenchOutput {
   test("T5: RAMBO speedup grows with the number of files") {
-    val rows = record(Experiments.t5(spark))
-    assert(rows.last.speedup > 1.3,
-      s"RAMBO not clearly faster at N=${rows.last.n}: ${rows.last.speedup}")
-    // Sub-linear scaling: the gain at large N must exceed the smallest N's.
-    // Compare against the best of the two largest points — single-point
-    // microbenchmark noise at this scale is a few tens of percent.
-    val late = rows.takeRight(2).map(_.speedup).max
-    assert(late > rows.head.speedup,
-      s"speedup did not grow: ${rows.map(r => f"${r.n}:${r.speedup}%.2f").mkString(", ")}")
+    TableGates.t5(record(Experiments.t5(spark)))
   }
 }
 
@@ -86,8 +51,6 @@ class BenchTable5Scaling extends SparkSpec with BenchOutput {
   */
 class BenchTable6Construction extends SparkSpec with BenchOutput {
   test("T6: distributed build scales with partitions") {
-    val rows = record(Experiments.t6(spark))
-    val best = rows.map(_.speedup).max
-    assert(best > 2.0, s"parallel build speedup only ${best}x over 1 partition")
+    TableGates.t6(record(Experiments.t6(spark)))
   }
 }

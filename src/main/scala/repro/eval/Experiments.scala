@@ -87,13 +87,19 @@ object Experiments {
     })
   }
 
-  /** One row of the T5 scaling table; `speedup` is `usBigsi / usRambo`. */
+  /** One row of the T5 scaling table: `speedup` is `usBigsi / usRambo` on the
+    * probe path, `sliceSpeedup` is `usBigsiSlice / usRamboSlice` on the
+    * bitsliced (AND) path.
+    */
   final case class ScalingRow(
       n: Int, w: Int, mBigsi: Int, mRambo: Int,
       fpBigsiPct: Double, fpRamboPct: Double,
       usBigsi: Double, usBigsiIqr: Double,
       usRambo: Double, usRamboIqr: Double,
-      speedup: Double)
+      speedup: Double,
+      usBigsiSlice: Double, usBigsiSliceIqr: Double,
+      usRamboSlice: Double, usRamboSliceIqr: Double,
+      sliceSpeedup: Double)
 
   /** T5's corpus sizes, index FP target and hash count. */
   val ScalingNs: Seq[Int] = Seq(500, 1000, 2000, 3480)
@@ -128,7 +134,8 @@ object Experiments {
     built.indices.map { i =>
       val ((n, w, _), b, r) = (built(i), timed(2 * i), timed(2 * i + 1))
       ScalingRow(n, w, b.mBits, r.mBits, b.fpPct, r.fpPct,
-        b.usProbe, b.usProbeIqr, r.usProbe, r.usProbeIqr, b.usProbe / r.usProbe)
+        b.usProbe, b.usProbeIqr, r.usProbe, r.usProbeIqr, b.usProbe / r.usProbe,
+        b.usBitsliced, b.usBitslicedIqr, r.usBitsliced, r.usBitslicedIqr, b.usBitsliced / r.usBitsliced)
     }
   }
 

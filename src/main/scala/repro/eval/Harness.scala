@@ -11,8 +11,8 @@ import repro.genome.SynthGenomes.CorpusSpec
   * an index over a cached corpus and measures its empirical FP rate on a
   * shared workload ([[Scored]]), then times both query paths of a table's
   * points together, giving one [[SweepPoint]] row per point.
-  * [[Experiments]] assembles these rows into T1–T5, so the `bench/` suites
-  * and the `repro.jobs.Tables` main always run identical experiments.
+  * [[Experiments]] assembles these rows into T1, T2 and T5, so the `bench/`
+  * suites and the `repro.jobs.Tables` main always run identical experiments.
   */
 object Harness {
 

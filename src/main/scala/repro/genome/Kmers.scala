@@ -44,16 +44,11 @@ object Kmers {
   /** Distinct k-mers of `seq`. */
   def kmerSet(seq: String, k: Int = DefaultK): Set[String] = kmers(seq, k).toSet
 
-  /** Spark column expression: distinct k-mers of a sequence column.
-    *
-    * Registered as a UDF so corpora expressed as (file, sequence) DataFrames
-    * (e.g. parsed FASTA) can be exploded into (file, kmer) rows with Catalyst
-    * doing the distribution.
+  /** Explode a (…, `seqCol`) DataFrame (e.g. parsed FASTA) into one row per
+    * distinct k-mer of each sequence, through a UDF so Catalyst distributes it.
     */
-  def kmerSetUdf(k: Int = DefaultK): org.apache.spark.sql.expressions.UserDefinedFunction =
-    udf((seq: String) => if (seq == null) Array.empty[String] else kmerSet(seq, k).toArray)
-
-  /** Explode a (…, `seqCol`) DataFrame into one row per distinct k-mer. */
-  def explodeKmers(df: DataFrame, seqCol: Column, k: Int = DefaultK): DataFrame =
-    df.withColumn("kmer", explode(kmerSetUdf(k)(seqCol)))
+  def explodeKmers(df: DataFrame, seqCol: Column, k: Int = DefaultK): DataFrame = {
+    val kmerSetUdf = udf((seq: String) => if (seq == null) Array.empty[String] else kmerSet(seq, k).toArray)
+    df.withColumn("kmer", explode(kmerSetUdf(seqCol)))
+  }
 }

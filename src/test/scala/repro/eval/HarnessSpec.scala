@@ -75,7 +75,8 @@ class HarnessSpec extends SparkSpec {
       Table("sweep", "a sweep", Harness.time(Seq(Harness.runBigsi(data, 4096, 3),
         Harness.runRambo(data, w = 5, d = 3, m = 32768, eta = 3)))),
       Table("scaling", "a scaling", Seq(
-        ScalingRow(500, 38, 7472, 23371, 1.014, 4.473, 3.65, 0.125, 1.94, 0.0625, 3.65 / 1.94))),
+        ScalingRow(500, 38, 7472, 23371, 1.014, 4.473, 3.65, 0.125, 1.94, 0.0625, 3.65 / 1.94,
+          0.25, 0.03125, 0.5, 0.0625, 0.25 / 0.5))),
       Table("build", "a build", Seq(BuildRow(1, 14.26, 0.31, 1.0, 0.19),
         BuildRow(2, 8.0, 0.2, 14.26 / 8.0, 0.338))))
     val dir = Files.createTempDirectory("tables")
