@@ -17,7 +17,9 @@ import repro.util.{BitVector, Hashing}
   * Query (Algorithm 2): hash the k-mer once; for each repetition take the
   * union of the member sets of the groups whose filters pass, then intersect
   * those unions across repetitions. Probe cost is O(d·w·η) — independent of N
-  * — plus a cheap N-bit set intersection; on a key present in no file, a file
+  * — plus the resolve: each repetition ORs the member sets of the smaller of
+  * its hit and missed cells, min(h_r, w − h_r)·⌈N/64⌉ words for h_r hit
+  * cells, and the d unions are ANDed; on a key present in no file, a file
   * is falsely reported only if all of its `d` cells yield Bloom false
   * positives, so the whole-index FP is ≈ fp_cell^d.
   *
@@ -40,35 +42,75 @@ final class RamboIndex(
   val memberships: Array[BitVector] = Array.fill(w * d)(BitVector.empty(numFiles))
   Rambo.fileCells(numFiles, w, d).zipWithIndex.foreach { case (cs, f) => cs.foreach(memberships(_).set(f)) }
 
+  /** Repetition r's span of the hit vector: `spanWord(j)` for `spanStart(r)
+    * <= j < spanStart(r + 1)` are the words its cells `r·w until (r+1)·w`
+    * fall in, and `spanMask(j)` is the mask of those cells in each.
+    */
+  private val (spanStart, spanWord, spanMask) = {
+    val words = Array.tabulate(d)(r => Array.range((r * w) >>> 6, (((r + 1) * w - 1) >>> 6) + 1))
+    val masks = Array.tabulate(d) { r =>
+      words(r).map { k =>
+        val from = math.max(r * w - (k << 6), 0)
+        val until = math.min((r + 1) * w - (k << 6), 64)
+        (-1L >>> (64 - until)) & (-1L << from)
+      }
+    }
+    (words.scanLeft(0)(_ + _.length), words.flatten, masks.flatten)
+  }
+
+  /** Mask of the file bits in the last word of an N-bit vector. */
+  private val lastWordMask = -1L >>> (-numFiles & 63)
+
   /** Algorithm 2: union the member sets of the hit cells within each
-    * repetition, then intersect those unions across repetitions. Walks only
-    * the set bits of `hits`, in ascending cell order, ORing each hit cell's
-    * member words into one scratch union; at each repetition boundary the
-    * union is folded into the answer. A repetition with no hit cell empties
-    * the answer, and the walk stops there.
+    * repetition, then intersect those unions across repetitions.
+    *
+    * A repetition's w cells partition the N files, so the union of its hit
+    * cells is the complement of the union of its missed cells. Each
+    * repetition counts its h hit cells over its span of `hits`; if h > w/2 it
+    * ORs the member words of the w − h missed cells and complements that
+    * union (clearing the spare bits at and past N), otherwise it ORs the hit
+    * cells' member words. Either way it streams min(h, w − h)·⌈N/64⌉ words.
+    * Repetition 0's union is the first answer; each later one is ANDed into
+    * it. A repetition with no hit cell, or an empty answer, stops the walk.
     */
   def resolve(hits: BitVector): BitVector = {
     require(hits.numBits == w * d, s"${hits.numBits} hit bits for ${w * d} cells")
+    val hw = hits.words
     val nw = BitVector.wordsFor(numFiles)
     val result = new Array[Long](nw)
     val union = new Array[Long](nw)
-    var rep = 0 // repetition whose union is being gathered
-    var hw = 0
-    var word = hits.words(0)
+    var rep = 0
     while (rep < d) {
-      while (word == 0L && hw + 1 < hits.words.length) { hw += 1; word = hits.words(hw) }
-      val c = if (word == 0L) w * d else (hw << 6) + java.lang.Long.numberOfTrailingZeros(word)
-      if (c < (rep + 1) * w) {
-        val mw = memberships(c).words
+      val start = spanStart(rep)
+      val end = spanStart(rep + 1)
+      var hit = 0
+      var j = start
+      while (j < end) { hit += java.lang.Long.bitCount(hw(spanWord(j)) & spanMask(j)); j += 1 }
+      val missSide = 2 * hit > w
+      val flip = if (missSide) -1L else 0L
+      val acc = if (rep == 0) result else union
+      j = start
+      while (j < end) {
+        var word = (hw(spanWord(j)) ^ flip) & spanMask(j)
+        while (word != 0L) {
+          val mw = memberships((spanWord(j) << 6) + java.lang.Long.numberOfTrailingZeros(word)).words
+          var i = 0
+          while (i < nw) { acc(i) |= mw(i); i += 1 }
+          word &= word - 1
+        }
+        j += 1
+      }
+      if (missSide && nw > 0) {
         var i = 0
-        while (i < nw) { union(i) |= mw(i); i += 1 }
-        word &= word - 1
-      } else {
+        while (i < nw) { acc(i) = ~acc(i); i += 1 }
+        acc(nw - 1) &= lastWordMask
+      }
+      if (rep == 0) rep = if (hit == 0) d else 1
+      else {
         // Fold repetition `rep`'s union into the answer and clear it.
         var any = 0L
         var i = 0
-        if (rep == 0) while (i < nw) { result(i) = union(i); any |= union(i); union(i) = 0L; i += 1 }
-        else while (i < nw) { result(i) &= union(i); any |= result(i); union(i) = 0L; i += 1 }
+        while (i < nw) { result(i) &= union(i); any |= result(i); union(i) = 0L; i += 1 }
         rep = if (any == 0L) d else rep + 1
       }
     }

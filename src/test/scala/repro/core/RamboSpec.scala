@@ -80,38 +80,74 @@ class RamboSpec extends SparkSpec {
     }
   }
 
-  test("result is the intersection of per-repetition unions (Algorithm 2)") {
-    val kmer = SynthGenomes.poolKmer(spec, 3)
-    val pos = index.positions(kmer)
-    val expected = (0 until D).map { r =>
-      val u = BitVector.empty(spec.nFiles)
-      (0 until W).foreach { g =>
-        if (pos.forall(index.matrix.get(_, r * W + g)))
-          u.or(index.memberships(r * W + g))
-      }
+  /** Algorithm 2 as a plain loop over all W·D cells: union the member sets of
+    * each repetition's hit cells, then intersect those unions.
+    */
+  private def reference(idx: RamboIndex, hits: BitVector): BitVector =
+    (0 until idx.d).map { r =>
+      val u = BitVector.empty(idx.numFiles)
+      (0 until idx.w).foreach(g => if (hits.get(r * idx.w + g)) u.or(idx.memberships(r * idx.w + g)))
       u
     }.reduce { (a, b) => a.and(b); a }
-    assert(index.queryProbe(kmer) == expected)
+
+  /** The cells whose filters pass at every one of the k-mer's η positions, bit by bit. */
+  private def plainHits(idx: RamboIndex, kmer: String): BitVector = {
+    val pos = idx.positions(kmer)
+    BitVector.of(idx.w * idx.d, (0 until idx.w * idx.d).filter(c => pos.forall(idx.matrix.get(_, c))))
+  }
+
+  test("result is the intersection of per-repetition unions (Algorithm 2)") {
+    val kmer = SynthGenomes.poolKmer(spec, 3)
+    assert(index.queryProbe(kmer) == reference(index, plainHits(index, kmer)))
+  }
+
+  test("conserved k-mers: probe, bitsliced and Algorithm 2 agree and contain truth") {
+    // docFreq falls along the pool, so its head holds the most-shared k-mers.
+    // Each hits more than half of the cells in every repetition, so the
+    // resolve ORs the missed cells.
+    assert(spec.docFreq(0) == spec.nFiles)
+    (0 until 40).foreach { i =>
+      val kmer = SynthGenomes.poolKmer(spec, i)
+      val hits = plainHits(index, kmer)
+      (0 until D).foreach { r =>
+        val h = (0 until W).count(g => hits.get(r * W + g))
+        assert(2 * h > W, s"pool k-mer $i hits $h of $W cells in rep $r")
+      }
+      val got = index.queryProbe(kmer)
+      assert(got == index.queryBitsliced(kmer), s"pool k-mer $i")
+      assert(got == reference(index, hits), s"pool k-mer $i")
+      truth.filesOf(kmer).setBits.foreach(f => assert(got.get(f), s"pool k-mer $i missed file $f"))
+    }
   }
 
   test("resolve equals the per-repetition union/intersection reference") {
-    // Algorithm 2 as a plain loop over all W·D cells.
-    def reference(idx: RamboIndex, hits: BitVector): BitVector =
-      (0 until idx.d).map { r =>
-        val u = BitVector.empty(idx.numFiles)
-        (0 until idx.w).foreach(g => if (hits.get(r * idx.w + g)) u.or(idx.memberships(r * idx.w + g)))
-        u
-      }.reduce { (a, b) => a.and(b); a }
     val rnd = new scala.util.Random(29)
-    val (w, d) = (100, 3) // repetition boundaries at cells 100 and 200 fall mid-word
-    for (n <- Seq(1, 63, 64, 65, 3480)) {
+    // (100, 3): repetition boundaries at cells 100 and 200 fall mid-word; (84, 3)
+    // is T2's geometry, boundaries at 84 and 168; odd w = 7 has no exact half.
+    for ((w, d) <- Seq((100, 3), (84, 3), (7, 4)); n <- Seq(1, 63, 64, 65, 3480)) {
       val idx = new RamboIndex(n, w, d, 1, new BitMatrix(1, w * d))
+      // w·d > n leaves some cells with no member file.
+      if (w * d > n) assert(idx.memberships.exists(_.cardinality == 0), s"n=$n w=$w d=$d")
+      def cells(k: Int) = rnd.shuffle((0 until w).toList).take(k)
+      def perRep(k: Int => Int) = BitVector.of(w * d, (0 until d).flatMap(r => cells(k(r)).map(r * w + _)))
       def random(p: Double) = BitVector.of(w * d, (0 until w * d).filter(_ => rnd.nextDouble() < p))
       val randoms = Seq(0.01, 0.05, 0.2, 0.5, 0.9).flatMap(p => Seq.fill(10)(random(p)))
       val oneRepEmpty = (0 until d).map(r =>
         BitVector.of(w * d, random(0.5).setBits.filterNot(_ / w == r)))
-      val cases = Seq(BitVector.empty(w * d), BitVector.full(w * d)) ++ randoms ++ oneRepEmpty
-      cases.foreach(h => assert(idx.resolve(h) == reference(idx, h), s"n=$n hits=${h.setBits.toSeq}"))
+      // Exactly ⌊w/2⌋ or ⌊w/2⌋+1 hits, in one repetition or in all of them.
+      val atHalf = for (k <- Seq(w / 2, w / 2 + 1); r <- -1 until d; _ <- 0 until 3)
+        yield perRep(r2 => if (r == -1 || r2 == r) k else w / 2 - 1 + rnd.nextInt(4))
+      val allButOne = Seq.fill(5)(perRep(_ => w - 1))
+      val fullAndSparse = for (full <- 0 until d; sparse <- 0 until d if sparse != full)
+        yield perRep(r => if (r == full) w else if (r == sparse) 1 + rnd.nextInt(2) else rnd.nextInt(w + 1))
+      val cases = Seq(BitVector.empty(w * d), BitVector.full(w * d)) ++ randoms ++ oneRepEmpty ++
+        atHalf ++ allButOne ++ fullAndSparse
+      cases.foreach { h =>
+        val got = idx.resolve(h)
+        assert(got == reference(idx, h), s"n=$n w=$w d=$d hits=${h.setBits.toSeq}")
+        assert((n until got.words.length * 64).forall(b => ((got.words(b >>> 6) >>> (b & 63)) & 1L) == 0L),
+          s"bit past n=$n set, w=$w d=$d hits=${h.setBits.toSeq}")
+      }
       assert(idx.resolve(BitVector.full(w * d)) == BitVector.full(n))
       assert(idx.resolve(BitVector.empty(w * d)).cardinality == 0)
       intercept[IllegalArgumentException](idx.resolve(BitVector.empty(w * d - 1)))
